@@ -183,9 +183,9 @@ class RunReport:
     #: tracing-JIT tier telemetry (``FlickMachine.jit_stats``): kept out
     #: of ``stats`` so the parity-pinned snapshot never sees the tier
     jit: Dict[str, float] = field(default_factory=dict)
-    #: multi-NxP placement sidecar counters (picks per device, failover,
+    #: placement sidecar counters (picks per device, failover,
     #: exhausted, half-open breaker probes) — kept out of ``stats`` for
-    #: the same parity reason, empty on single-NxP machines
+    #: the same parity reason
     placement: Dict[str, float] = field(default_factory=dict)
     #: spans still open when the report was built (hung legs / in-flight
     #: requests) — their time is absent from every histogram above
@@ -388,8 +388,7 @@ def build_run_report(
 ) -> RunReport:
     """Derive a :class:`RunReport` from a finished machine's trace + stats.
 
-    ``machine`` is a :class:`~repro.core.machine.FlickMachine` (or any
-    object with ``trace``, ``stats`` and ``sim`` attributes) that has
+    ``machine`` is a :class:`~repro.core.machine.FlickMachine` that has
     finished running.  ``sim_ns`` defaults to the simulator clock.
     Raises :class:`~repro.core.trace.TraceTruncated` via the breakdown
     pass when the trace ring dropped events, unless ``allow_truncated``.
@@ -415,19 +414,11 @@ def build_run_report(
             trace,
             t_end,
             slices=slices,
-            nxp_devices=(
-                len(machine.devices)
-                if getattr(machine, "multi_nxp", False)
-                else None
-            ),
+            nxp_devices=len(machine.devices),
         ),
         truncated=trace.truncated,
         jit=machine.jit_stats() if hasattr(machine, "jit_stats") else {},
-        placement=(
-            dict(machine.placement.counters)
-            if getattr(machine, "multi_nxp", False)
-            else {}
-        ),
+        placement=dict(machine.placement.counters),
         open_spans=len(trace.open_spans()),
         span_anomalies=trace.span_anomalies,
         trace_dropped=trace.dropped,

@@ -110,8 +110,7 @@ class TrafficConfig:
     burst_duty: float = 0.25
     #: host cores on the serving machine (FlickConfig.host_cores)
     host_cores: int = 4
-    #: NxP devices on the serving machine (FlickConfig.nxp_count); 1
-    #: keeps the exact single-device machine the pre-fleet harness built
+    #: NxP devices on the serving machine (FlickConfig.nxp_count)
     nxps: int = 1
     #: session-placement policy for nxps > 1 (repro.os.placement)
     policy: str = "static"
@@ -318,8 +317,7 @@ class ServingResult:
     #: trace health after the run: both must be zero for a clean run
     open_spans: int = 0
     span_anomalies: int = 0
-    #: multi-NxP only: sessions placed per device index (placement
-    #: sidecar counters); empty on a single-NxP run
+    #: sessions placed per device index (placement sidecar counters)
     device_sessions: Dict[int, int] = field(default_factory=dict)
     #: NISA calls that completed via host-fallback emulation (all
     #: devices down, or a kill run's tail) — from ``degraded.calls``
@@ -639,8 +637,7 @@ def run_serving(tc: TrafficConfig, cfg: Optional[FlickConfig] = None) -> Serving
 
         def _reviver():
             yield sim.timeout(tc.revive_at_ns)
-            if machine.placement is not None:
-                sessions_before_revive.update(machine.placement.session_counts())
+            sessions_before_revive.update(machine.placement.session_counts())
             machine.revive_nxp(tc.kill_device)
 
         sim.spawn(_reviver(), name="chaos-reviver")
@@ -677,9 +674,7 @@ def run_serving(tc: TrafficConfig, cfg: Optional[FlickConfig] = None) -> Serving
         if r.shed:
             shed_by_reason[r.shed_reason] = shed_by_reason.get(r.shed_reason, 0) + 1
     stats = machine.stats.snapshot()
-    final_sessions = (
-        machine.placement.session_counts() if machine.placement else {}
-    )
+    final_sessions = machine.placement.session_counts()
     post_revival: Dict[int, int] = {}
     if tc.revive_at_ns is not None:
         post_revival = {
@@ -706,7 +701,7 @@ def run_serving(tc: TrafficConfig, cfg: Optional[FlickConfig] = None) -> Serving
         latency_histogram=HistogramSummary.of(hist),
         utilization=device_utilization(
             trace, t_end, t_start=epoch,
-            nxp_devices=tc.nxps if tc.nxps > 1 else None,
+            nxp_devices=tc.nxps,
         ),
         open_spans=len(trace.open_spans()),
         span_anomalies=trace.span_anomalies,

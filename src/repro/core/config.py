@@ -107,7 +107,6 @@ class FlickConfig:
     # ---- TLB / MMU -------------------------------------------------------
     tlb_entries: int = 16                # per I-TLB and D-TLB (Section IV-A)
     tlb_hit_ns: float = 5.0              # one NxP cycle
-    mmu_walk_levels: int = 4             # x86-64 4-level tables
     mmu_walk_step_ns: float = 830.0      # one PT read across PCIe (per level)
     mmu_walker_overhead_ns: float = 400.0  # MicroBlaze firmware per walk
 
@@ -137,7 +136,6 @@ class FlickConfig:
     nxp_poll_period_ns: float = 600.0      # DMA status-register poll loop
     nxp_sched_dispatch_ns: float = 650.0   # read descriptor, pick thread
     nxp_context_switch_ns: float = 900.0   # switch to/from thread stack
-    nxp_call_dispatch_ns: float = 250.0    # handler calling target fn
     nxp_fault_entry_ns: float = 500.0      # NxP exception -> migration handler
     nxp_desc_build_ns: float = 450.0       # pack NxP->host descriptor
     nxp_dma_kick_ns: float = 200.0         # NxP scheduler DMA trigger
@@ -151,7 +149,6 @@ class FlickConfig:
 
     # ---- placement sizes ---------------------------------------------------
     nxp_stack_bytes: int = 64 * KB
-    host_stack_bytes: int = 1 * MB
 
     # ---- host topology -----------------------------------------------------
     # Host cores in the scheduler pool.  The paper's machine has more,
@@ -160,14 +157,13 @@ class FlickConfig:
     host_cores: int = 2
 
     # ---- NxP topology (docs/FLEET.md) --------------------------------------
-    # Number of PCIe-attached NxP devices on this machine.  1 (the
-    # paper's system, and the default) takes the exact single-device
-    # code paths and is pinned bit-identical to the pre-fleet behavior
-    # by tests/core/test_multi_nxp.py.  N > 1 builds one descriptor-ring
-    # pair, DMA engine, IRQ vector, BRAM slice, scheduler and health
-    # machine per device, all sharing one PCIe link (natural contention).
+    # Number of PCIe-attached NxP devices on this machine; 1 is the
+    # paper's system and the default.  Every machine, including a fleet
+    # of one, builds one descriptor-ring pair, DMA engine, IRQ vector,
+    # BRAM slice, scheduler and health machine per device, all sharing
+    # one PCIe link (natural contention).
     nxp_count: int = 1
-    # Session-placement policy for N > 1: which device an h2n migration
+    # Session-placement policy: which device an h2n migration
     # session is routed to.  One of repro.os.placement.POLICIES:
     # "static" | "round_robin" | "least_loaded" | "locality".
     placement_policy: str = "static"

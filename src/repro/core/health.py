@@ -206,7 +206,7 @@ class RetryBudget:
     """Machine-wide token bucket for watchdog retransmits, in sim time.
 
     Consulted before *every* retransmit in both interpreted and hosted
-    modes (``_ioctl_hardened`` twins).  Refill is a pure function of the
+    modes (``_ioctl_hardened``).  Refill is a pure function of the
     simulated clock — ``tokens += (now - last) * refill_per_ns``, capped
     at ``capacity`` — so identical seeds replay identical grant/deny
     sequences at any ``parallel_map`` worker count.  A denied take makes

@@ -2,18 +2,26 @@
 
 Mirrors Listing 1 of the paper.  A thread always starts on the host.
 When its host core fetches NxP-ISA instructions, the NX fault hands
-control to :meth:`_migrate_call_to_nxp` — the user-space migration
-handler — which packages the hijacked call into a descriptor, performs
-the ``ioctl(MIGRATE_AND_SUSPEND)``, and sleeps until the migration
-interrupt wakes it.  While awake it loops servicing *NxP-to-host* call
-descriptors (the paper's ``while (nxp_to_host_call)``) until the final
-return descriptor arrives, then returns the value as if the hijacked
-call had executed locally — the caller never knows the thread left.
+control to :meth:`~HostMigrationHandler._migrate_call_to_nxp` — the
+user-space migration handler — which packages the hijacked call into a
+descriptor, performs the ``ioctl(MIGRATE_AND_SUSPEND)``, and sleeps
+until the migration interrupt wakes it.  While awake it loops servicing
+*NxP-to-host* call descriptors (the paper's ``while (nxp_to_host_call)``)
+until the final return descriptor arrives, then returns the value as if
+the hijacked call had executed locally — the caller never knows the
+thread left.
 
 The handler is reentrant: a host function called *from* the NxP may
 itself call NxP functions; each nesting level is simply a deeper Python
 frame of ``_step_loop``/``_migrate_call_to_nxp``, exactly as each level
 in the paper occupies a deeper stack frame of the real handler.
+
+The protocol lives once, in :class:`HostMigrationHandler`.  The two
+execution back-ends subclass it: :class:`HostThread` runs HISA code on
+the interpreter, and hosted mode (``repro.core.hosted``) runs Python
+bodies.  A back-end supplies only the call's arguments and two hooks —
+"run this host function for an n2h call" and "run this callee in
+fallback" (docs/PROTOCOL.md).
 """
 
 from __future__ import annotations
@@ -44,224 +52,45 @@ from repro.os.loader import HOST_STACK_TOP
 from repro.os.task import Task, TaskState
 from repro.sim.engine import Event
 
-__all__ = ["HostThread"]
+__all__ = ["HostMigrationHandler", "HostThread"]
 
 
-class HostThread:
-    """Drives one task's execution on the host cores."""
+class HostMigrationHandler:
+    """The host half of the Flick protocol for one task, back-end neutral.
 
-    def __init__(self, machine, task: Task, port):
+    Owns the migration session — placement, failover, the fuse and
+    brownout gates, the ``ioctl(MIGRATE_AND_SUSPEND)`` (plain or
+    hardened) and the n2h ladder — plus the degraded-session wrapper.
+    Subclasses supply :meth:`_call_host_function` and
+    :meth:`_run_fallback`.
+    """
+
+    def __init__(self, machine, task: Task):
         self.machine = machine
         self.sim = machine.sim
         self.cfg = machine.cfg
         self.kernel = machine.kernel
         self.task = task
-        self.cpu = Interpreter(
-            "hisa",
-            self.sim,
-            port,
-            CostModel(machine.cfg.host_cycle_ns, ipc=3.0),
-            stats=machine.stats,
-            name=f"host.{task.name}",
-            decode_cache=machine.cfg.decode_cache,
-            jit=machine.cfg.jit_enabled,
-            jit_hot_threshold=machine.cfg.jit_hot_threshold,
-            jit_max_superblock=machine.cfg.jit_max_superblock,
-            trace=machine.trace,
-        )
         self.core = None
         self.proc = None  # sim Process handle, set by FlickMachine.spawn
         self.result: Optional[int] = None
         self.finished_at: Optional[float] = None
         self._staging: Optional[int] = None  # host DRAM descriptor buffer
-        self._fallback_cpu: Optional[Interpreter] = None  # degraded-mode NISA emulator
 
-    # -- thread entry ------------------------------------------------------------
+    # -- back-end hooks -----------------------------------------------------------
 
-    def thread_main(self, entry: int, args: List[int]) -> Generator:
-        """DES process: run the program's entry function to completion."""
-        task = self.task
-        self.core = yield from self.machine.cores.acquire(task.name)
-        task.state = TaskState.RUNNING
-        self.machine.trace.record("thread_start", pid=task.pid, target=entry)
-        self.machine.trace.begin("thread", pid=task.pid, target=entry)
-        yield from self.cpu.setup_call(entry, args, sp=HOST_STACK_TOP - 64)
-        try:
-            retval = yield from self._step_loop()
-        except _ThreadExit as exit_request:
-            retval = exit_request.code
-        finally:
-            task.state = TaskState.DONE
-            if self.core is not None:
-                self.machine.cores.release(self.core)
-                self.core = None
-        self.result = retval
-        self.finished_at = self.sim.now
-        task.process.exit_code = retval
-        self.machine.trace.record("thread_done", pid=task.pid)
-        self.machine.trace.end("thread", pid=task.pid)
-        return retval
+    def _call_host_function(self, target: int, args: List[int]) -> Generator:
+        """Execute an NxP-requested host function (nested level)."""
+        raise NotImplementedError
 
-    # -- the step loop (one per nesting level) ------------------------------------
-
-    def _step_loop(self) -> Generator:
-        cpu = self.cpu
-        step = cpu.step
-        stub_pcs = STUB_PCS
-        while True:
-            if cpu.pc in stub_pcs:
-                yield from service_stub(self.machine, self.task, cpu)
-                continue
-            try:
-                yield from step()
-            except PageFault as fault:
-                if fault.kind == PageFault.NX_VIOLATION and fault.is_exec:
-                    self.kernel.classify_exec_fault(self.task, fault, running_on="hisa")
-                    retval = yield from self._migrate_call_to_nxp(fault.vaddr)
-                    yield from self._hijacked_return(retval)
-                elif (
-                    fault.kind == PageFault.NOT_PRESENT
-                    and self.task.process.lazy_heap is not None
-                    and self.task.process.lazy_heap.covers(fault.vaddr)
-                ):
-                    # Minor fault: demand-page the heap and retry the
-                    # instruction (same dispatcher as the NX migration
-                    # hook -- it is all one page-fault handler).
-                    yield from self.task.process.lazy_heap.service_fault(
-                        self.task, fault.vaddr
-                    )
-                else:
-                    raise ProcessCrash(
-                        self.task,
-                        f"unexpected host page fault at pc={cpu.pc:#x}: "
-                        f"{fault.access_kind} access to {fault.vaddr:#x} ({fault.kind})",
-                        pc=cpu.pc,
-                        fault=fault,
-                    )
-            except EnvCall:
-                code, value = cpu.get_args(2)
-                result = self.kernel.service_syscall(self.task, code, value)
-                cpu.regs.write(cpu.abi.ret_reg, result or 0)
-            except ReturnToRuntime as ret:
-                return ret.retval
-            except Halted:
-                return 0
-            except (MisalignedFetch, IllegalInstruction) as fault:
-                raise ProcessCrash(
-                    self.task, f"host fetch fault at pc={cpu.pc:#x}: {fault}", pc=cpu.pc
-                )
-            except IsaFault as fault:
-                raise ProcessCrash(
-                    self.task, f"host fault at pc={cpu.pc:#x}: {fault}", pc=cpu.pc
-                )
-
-    def _hijacked_return(self, retval: int) -> Generator:
-        """Return from the hijacked call site as if it ran locally."""
-        cpu = self.cpu
-        raw = yield from cpu.port.load(cpu.sp, 8)
-        cpu.sp = cpu.sp + 8
-        cpu.pc = int.from_bytes(raw, "little")
-        cpu.regs.write(cpu.abi.ret_reg, retval)
+    def _run_fallback(self, target: int, args: List[int]) -> Generator:
+        """Run the NISA callee ``target`` on the host (degraded mode)."""
+        raise NotImplementedError
 
     # -- Listing 1: the host migration handler --------------------------------------
 
-    def _migrate_call_to_nxp(self, target: int) -> Generator:
-        task = self.task
-        cfg = self.cfg
-        # NX fault entry + kernel redirect to the user-space handler
-        # (measured at ~0.7us in the paper).
-        yield self.sim.timeout(cfg.host_page_fault_ns)
-        task.faulting_target = target
-        yield self.sim.timeout(cfg.host_handler_entry_ns)
-        session_start = self.sim.now
-        self.machine.trace.record("h2n_call_start", pid=task.pid, target=target)
-        self.machine.trace.begin("h2n_session", pid=task.pid, target=target)
-
-        if self.machine.multi_nxp:
-            retval = yield from self._migrate_call_multi(target, session_start)
-            return retval
-
-        if task.nxp_stack_base is None:  # first migration: allocate NxP stack
-            yield self.sim.timeout(cfg.host_stack_alloc_ns)
-            task.nxp_stack_base = self.machine.alloc_nxp_stack()
-            task.nxp_sp = task.nxp_stack_base + cfg.nxp_stack_bytes
-            self.machine.trace.record("nxp_stack_alloc", pid=task.pid, addr=task.nxp_stack_base)
-
-        args = self.cpu.get_args(6)
-        machine = self.machine
-        if machine.hardened and (
-            machine.health.dead or task.pid in machine.fused_pids
-        ):
-            # The NxP was already declared dead — or this pid burned the
-            # retry budget and is fused to host execution (a stale reply
-            # to its abandoned leg may still be in flight, and must find
-            # no armed wait).  Don't even try the wire.
-            retval = yield from self._fallback_execute(target, args, session_start)
-            return retval
-        if cfg.brownout and self._brownout_risk():
-            # Overload brownout: run degraded-but-correct on the host
-            # instead of queueing a session unlikely to meet its
-            # deadline (docs/ROBUSTNESS.md).
-            retval = yield from self._fallback_execute(target, args, session_start)
-            return retval
-        desc = MigrationDescriptor(
-            kind=KIND_CALL,
-            direction=DIR_H2N,
-            pid=task.pid,
-            target=target,
-            args=args,
-            cr3=task.process.cr3,
-            nxp_sp=task.nxp_sp,
-        )
-        try:
-            inbound = yield from self._ioctl_migrate_and_suspend(desc)
-        except NxpDeadError:
-            # The opening call leg never reached the device; no NxP
-            # state exists for this session, so it can be re-run whole
-            # on the host at the degradation penalty.
-            retval = yield from self._fallback_execute(target, args, session_start)
-            return retval
-
-        # The paper's while (nxp_to_host_call) loop.
-        while inbound.is_call:
-            task.nxp_sp = inbound.nxp_sp  # thread's NxP stack advanced
-            yield self.sim.timeout(cfg.host_ioctl_return_ns)
-            self.machine.trace.record("n2h_call_exec", pid=task.pid, target=inbound.target)
-            self.machine.trace.begin("n2h_host_exec", pid=task.pid, target=inbound.target)
-            host_retval = yield from self._call_host_function(inbound.target, inbound.args)
-            self.machine.trace.end("n2h_host_exec", pid=task.pid)
-            ret_desc = MigrationDescriptor(
-                kind=KIND_RETURN,
-                direction=DIR_H2N,
-                pid=task.pid,
-                retval=host_retval,
-                cr3=task.process.cr3,
-                nxp_sp=task.nxp_sp,
-            )
-            try:
-                inbound = yield from self._ioctl_migrate_and_suspend(ret_desc)
-            except NxpDeadError:
-                # Mid-ladder death: the thread's suspended NxP frames
-                # (and any state the NISA callee built there) are gone.
-                # There is no correct way to resume — this is a crash,
-                # which the chaos invariant accepts as terminal.
-                raise ProcessCrash(
-                    task,
-                    "NxP died mid-migration-session (suspended NxP frames lost)",
-                )
-
-        # Return migration: resume at the original call site.
-        yield self.sim.timeout(cfg.host_ioctl_return_ns)
-        yield self.sim.timeout(cfg.host_handler_return_ns)
-        self.machine.stats.observe(
-            "latency.h2n_session_ns", self.sim.now - session_start
-        )
-        self.machine.trace.record("h2n_call_done", pid=task.pid, target=target)
-        self.machine.trace.end("h2n_session", pid=task.pid)
-        return inbound.retval
-
-    def _migrate_call_multi(self, target: int, session_start: float) -> Generator:
-        """Multi-NxP twin of the session body above (docs/FLEET.md).
+    def _migrate_call_to_nxp(self, target: int, args: List[int]) -> Generator:
+        """One h2n migration session (docs/FLEET.md).
 
         The placement layer picks one device per *session*; every leg of
         the session (the opening call, the reentrant ladder, the final
@@ -271,27 +100,35 @@ class HostThread:
         :class:`NxpDeadError` is re-placed on the next live device (no
         NxP state exists yet, so the call can be restarted whole); with
         every device tried or down the call degrades to host-fallback
-        emulation.  Mid-ladder death stays a :class:`ProcessCrash`,
-        exactly as on a single-NxP machine.
+        emulation.  Mid-ladder death is a :class:`ProcessCrash`.
         """
         task = self.task
         cfg = self.cfg
         machine = self.machine
-        args = self.cpu.get_args(6)
+        # NX fault entry + kernel redirect to the user-space handler
+        # (measured at ~0.7us in the paper).
+        yield self.sim.timeout(cfg.host_page_fault_ns)
+        yield self.sim.timeout(cfg.host_handler_entry_ns)
+        session_start = self.sim.now
+        machine.trace.record("h2n_call_start", pid=task.pid, target=target)
+        machine.trace.begin("h2n_session", pid=task.pid, target=target)
         tried = set()
         while True:
-            if task.pid in machine.fused_pids:
-                # Retry-budget fuse (see the single-NxP entry check):
-                # stale replies route by pid, not device, so a fused pid
-                # must not wait on *any* device.
-                retval = yield from self._fallback_execute(target, args, session_start)
-                return retval
-            device = machine.placement.pick(task, exclude=frozenset(tried))
-            if device is None:
-                retval = yield from self._fallback_execute(target, args, session_start)
-                return retval
-            if cfg.brownout and self._brownout_risk(device):
-                retval = yield from self._fallback_execute(target, args, session_start)
+            # A pid fused to host execution after a retry-budget denial
+            # must not wait on *any* device: a stale reply to its
+            # abandoned leg routes by pid, not device, and must find no
+            # armed wait.
+            device = None
+            if task.pid not in machine.fused_pids:
+                device = machine.placement.pick(task, exclude=frozenset(tried))
+            if device is None or (cfg.brownout and self._brownout_risk(device)):
+                # No device left to try — or overload brownout: run
+                # degraded-but-correct on the host instead of queueing a
+                # session unlikely to meet its deadline
+                # (docs/ROBUSTNESS.md).
+                retval = yield from self._fallback_execute(
+                    target, args, session_start, device
+                )
                 return retval
             if machine.trace.context_enabled:
                 # Label the session span with the device serving it (the
@@ -300,29 +137,23 @@ class HostThread:
                     "h2n_session", pid=task.pid,
                     device=device.index, device_label=f"nxp{device.index}",
                 )
-
-            if task.nxp_stack_base is None:  # first migration: allocate NxP stack
-                yield self.sim.timeout(cfg.host_stack_alloc_ns)
-                task.nxp_stack_base = machine.alloc_nxp_stack(device=device)
-                task.nxp_sp = task.nxp_stack_base + cfg.nxp_stack_bytes
-                task.nxp_device = device.index
-                machine.trace.record(
-                    "nxp_stack_alloc", pid=task.pid, addr=task.nxp_stack_base
-                )
+            yield from self._ensure_nxp_stack(device)
 
             desc = MigrationDescriptor(
                 kind=KIND_CALL,
                 direction=DIR_H2N,
                 pid=task.pid,
                 target=target,
-                args=args,
+                args=args[:6],
                 cr3=task.process.cr3,
                 nxp_sp=task.nxp_sp,
             )
             device.outstanding += 1
             try:
-                inbound = yield from self._ioctl_migrate_and_suspend(desc, device=device)
+                inbound = yield from self._ioctl_migrate_and_suspend(desc, device)
             except NxpDeadError:
+                # The opening call leg never reached the device; no NxP
+                # state exists for this session, so it is re-placed whole.
                 device.outstanding -= 1
                 tried.add(device.index)
                 continue
@@ -331,6 +162,7 @@ class HostThread:
                 raise
 
             try:
+                # The paper's while (nxp_to_host_call) loop.
                 while inbound.is_call:
                     task.nxp_sp = inbound.nxp_sp  # thread's NxP stack advanced
                     yield self.sim.timeout(cfg.host_ioctl_return_ns)
@@ -354,14 +186,20 @@ class HostThread:
                     )
                     try:
                         inbound = yield from self._ioctl_migrate_and_suspend(
-                            ret_desc, device=device
+                            ret_desc, device
                         )
                     except NxpDeadError:
+                        # Mid-ladder death: the thread's suspended NxP
+                        # frames (and any state the NISA callee built
+                        # there) are gone.  There is no correct way to
+                        # resume — this is a crash, which the chaos
+                        # invariant accepts as terminal.
                         raise ProcessCrash(
                             task,
                             "NxP died mid-migration-session "
                             "(suspended NxP frames lost)",
                         )
+                # Return migration: resume at the original call site.
                 yield self.sim.timeout(cfg.host_ioctl_return_ns)
                 yield self.sim.timeout(cfg.host_handler_return_ns)
             finally:
@@ -373,19 +211,26 @@ class HostThread:
             machine.trace.end("h2n_session", pid=task.pid)
             return inbound.retval
 
-    def _call_host_function(self, target: int, args: List[int]) -> Generator:
-        """Execute an NxP-requested host function (nested level)."""
-        yield self.sim.timeout(self.cfg.host_call_dispatch_ns)
-        yield from self.cpu.setup_call(target, list(args))  # keep current stack
-        return (yield from self._step_loop())
+    def _ensure_nxp_stack(self, device) -> Generator:
+        """First migration: allocate the task's NxP stack in ``device``'s
+        BRAM slice."""
+        task = self.task
+        if task.nxp_stack_base is None:
+            yield self.sim.timeout(self.cfg.host_stack_alloc_ns)
+            task.nxp_stack_base = self.machine.alloc_nxp_stack(device)
+            task.nxp_sp = task.nxp_stack_base + self.cfg.nxp_stack_bytes
+            task.nxp_device = device.index
+            self.machine.trace.record(
+                "nxp_stack_alloc", pid=task.pid, addr=task.nxp_stack_base
+            )
 
-    def _brownout_risk(self, device=None) -> bool:
+    def _brownout_risk(self, device) -> bool:
         """Should this call brown out to host fallback instead of
-        queueing?  Only consulted when ``cfg.brownout`` is on.
+        queueing on ``device``?  Only consulted when ``cfg.brownout`` is on.
 
         Two triggers: the task's remaining deadline budget is below
         ``brownout_margin_ns`` (a session started now would likely
-        finish late), or the target admission queue is already at
+        finish late), or the device's admission queue is already at
         ``admission_queue_limit`` (queueing behind it only grows the
         backlog).
         """
@@ -396,23 +241,16 @@ class HostThread:
             machine.stats.count("brownout.deadline_risk")
             return True
         limit = cfg.admission_queue_limit
-        if limit:
-            if device is not None:
-                over = device.outstanding >= limit
-            else:
-                over = machine.admitted_inflight > machine.admission_capacity()
-            if over:
-                machine.stats.count("brownout.queue_full")
-                return True
+        if limit and device.outstanding >= limit:
+            machine.stats.count("brownout.queue_full")
+            return True
         return False
 
     # -- the ioctl(MIGRATE_AND_SUSPEND) path -------------------------------------------
 
-    def _ioctl_migrate_and_suspend(
-        self, desc: MigrationDescriptor, device=None
-    ) -> Generator:
+    def _ioctl_migrate_and_suspend(self, desc: MigrationDescriptor, device) -> Generator:
         if self.machine.hardened:
-            result = yield from self._ioctl_hardened(desc, device=device)
+            result = yield from self._ioctl_hardened(desc, device)
             return result
         task = self.task
         cfg = self.cfg
@@ -439,9 +277,8 @@ class HostThread:
         yield self.sim.timeout(cfg.host_dma_kick_ns)
         task.migration_pending = False
         self.machine.trace.record("dma_h2n", pid=task.pid, kind=desc.kind)
-        dma = self.machine.dma if device is None else device.dma
         self.sim.spawn(
-            dma.push_to_nxp(self._staging, DESCRIPTOR_BYTES, pid=task.pid),
+            device.dma.push_to_nxp(self._staging, DESCRIPTOR_BYTES, pid=task.pid),
             name=f"dma-h2n-{task.name}",
         )
 
@@ -452,7 +289,7 @@ class HostThread:
 
     # -- hardened protocol (active only when a fault plan is armed) ---------------
 
-    def _ioctl_hardened(self, desc: MigrationDescriptor, device=None) -> Generator:
+    def _ioctl_hardened(self, desc: MigrationDescriptor, device) -> Generator:
         """``ioctl(MIGRATE_AND_SUSPEND)`` with watchdog + bounded retry.
 
         Each *leg* (one h2n descriptor and the n2h answer that wakes us)
@@ -461,14 +298,14 @@ class HostThread:
         its cached response — with deterministic exponential backoff
         between attempts.  ``migration_retry_limit + 1`` consecutive
         expiries are one *leg failure*; ``nxp_dead_threshold`` of those
-        flips the health machine to DEAD and raises
-        :class:`NxpDeadError` for the caller to degrade.
+        flips the device's health machine to DEAD and raises
+        :class:`NxpDeadError` for the caller to re-place or degrade.
         """
         task = self.task
         cfg = self.cfg
         machine = self.machine
-        health = machine.health if device is None else device.health
-        dma = machine.dma if device is None else device.dma
+        health = device.health
+        dma = device.dma
         if cfg.injected_migration_rt_ns:
             yield self.sim.timeout(cfg.injected_migration_rt_ns / 2.0)
         yield self.sim.timeout(cfg.host_ioctl_entry_ns)
@@ -536,11 +373,11 @@ class HostThread:
                     cfg.migration_backoff_factor ** attempt
                 )
                 yield self.sim.timeout(backoff)
-                if device is not None and health is not None and health.dead:
-                    # Multi-NxP only: the device was latched DEAD under
-                    # us (a chaos kill) — don't burn the remaining
-                    # retries against known-dead silicon; surface the
-                    # error so the session is re-placed immediately.
+                if health.dead:
+                    # The device was latched DEAD under us (a chaos kill,
+                    # or another session's failures) — don't burn the
+                    # remaining retries against known-dead silicon;
+                    # surface the error so the session is re-placed.
                     self.core = yield from machine.cores.acquire(task.name)
                     task.state = TaskState.RUNNING
                     raise NxpDeadError(task)
@@ -561,29 +398,173 @@ class HostThread:
 
         self.sim.spawn(watchdog(self.sim), name=f"watchdog-{self.task.name}")
 
-    # -- degraded mode: host-side NISA emulation ----------------------------------
+    # -- degraded mode ------------------------------------------------------------
 
-    def _fallback_execute(self, target: int, args: List[int], session_start: float) -> Generator:
-        """Run the NISA callee on the host via a penalized interpreter.
+    def _fallback_execute(
+        self, target: int, args: List[int], session_start: float, device
+    ) -> Generator:
+        """Run the NISA callee on the host instead of on an NxP.
 
-        The dead NxP can no longer execute anything, but the NISA text
-        and the thread's NxP stack window are still mapped in the shared
-        address space, so the host can *emulate* the callee: a second
-        interpreter over a :class:`FallbackMemoryPort` (inverted NX
-        sense, like the NxP MMU) at ``host_fallback_penalty`` times the
-        host cycle time — emulation, not native issue.  NxP-resident
-        data (BRAM stack, BAR0 windows) is reached over PCIe, adding the
-        natural placement penalty on top.
+        The callee still runs on the task's NxP stack window (mapped in
+        the shared address space and reached over PCIe), so a first
+        migration allocates it — in ``device``'s slice, or device 0's
+        when no device took the session.
         """
         task = self.task
-        cfg = self.cfg
         machine = self.machine
+        yield from self._ensure_nxp_stack(device or machine.devices[0])
         machine.stats.count("degraded.calls")
         machine.trace.record("degraded_call", pid=task.pid, target=target)
         if machine.trace.context_enabled:
             machine.trace.annotate("h2n_session", pid=task.pid, fallback=True)
         # Runtime check + emulator setup on entry to the degraded path.
-        yield self.sim.timeout(cfg.host_fallback_entry_ns)
+        yield self.sim.timeout(self.cfg.host_fallback_entry_ns)
+        retval = yield from self._run_fallback(target, args)
+        machine.stats.observe("latency.degraded_session_ns", self.sim.now - session_start)
+        machine.trace.record("degraded_done", pid=task.pid, target=target)
+        machine.trace.end("h2n_session", pid=task.pid)
+        return retval
+
+
+class HostThread(HostMigrationHandler):
+    """Drives one task's HISA execution on the host cores (interpreted
+    back-end)."""
+
+    def __init__(self, machine, task: Task, port):
+        super().__init__(machine, task)
+        self.cpu = Interpreter(
+            "hisa",
+            self.sim,
+            port,
+            CostModel(machine.cfg.host_cycle_ns, ipc=3.0),
+            stats=machine.stats,
+            name=f"host.{task.name}",
+            decode_cache=machine.cfg.decode_cache,
+            jit=machine.cfg.jit_enabled,
+            jit_hot_threshold=machine.cfg.jit_hot_threshold,
+            jit_max_superblock=machine.cfg.jit_max_superblock,
+            trace=machine.trace,
+        )
+        self._fallback_cpu: Optional[Interpreter] = None  # degraded-mode NISA emulator
+
+    # -- thread entry ------------------------------------------------------------
+
+    def thread_main(self, entry: int, args: List[int]) -> Generator:
+        """DES process: run the program's entry function to completion."""
+        task = self.task
+        self.core = yield from self.machine.cores.acquire(task.name)
+        task.state = TaskState.RUNNING
+        self.machine.trace.record("thread_start", pid=task.pid, target=entry)
+        self.machine.trace.begin("thread", pid=task.pid, target=entry)
+        yield from self.cpu.setup_call(entry, args, sp=HOST_STACK_TOP - 64)
+        try:
+            retval = yield from self._step_loop()
+        except _ThreadExit as exit_request:
+            retval = exit_request.code
+        finally:
+            task.state = TaskState.DONE
+            if self.core is not None:
+                self.machine.cores.release(self.core)
+                self.core = None
+        self.result = retval
+        self.finished_at = self.sim.now
+        task.process.exit_code = retval
+        self.machine.trace.record("thread_done", pid=task.pid)
+        self.machine.trace.end("thread", pid=task.pid)
+        return retval
+
+    # -- the step loop (one per nesting level) ------------------------------------
+
+    def _step_loop(self) -> Generator:
+        cpu = self.cpu
+        step = cpu.step
+        stub_pcs = STUB_PCS
+        while True:
+            if cpu.pc in stub_pcs:
+                yield from service_stub(self.machine, self.task, cpu)
+                continue
+            try:
+                yield from step()
+            except PageFault as fault:
+                if fault.kind == PageFault.NX_VIOLATION and fault.is_exec:
+                    self.kernel.classify_exec_fault(self.task, fault, running_on="hisa")
+                    retval = yield from self._migrate_call_to_nxp(
+                        fault.vaddr, cpu.get_args(6)
+                    )
+                    yield from self._hijacked_return(retval)
+                elif (
+                    fault.kind == PageFault.NOT_PRESENT
+                    and self.task.process.lazy_heap is not None
+                    and self.task.process.lazy_heap.covers(fault.vaddr)
+                ):
+                    # Minor fault: demand-page the heap and retry the
+                    # instruction (same dispatcher as the NX migration
+                    # hook -- it is all one page-fault handler).
+                    yield from self.task.process.lazy_heap.service_fault(
+                        self.task, fault.vaddr
+                    )
+                else:
+                    raise ProcessCrash(
+                        self.task,
+                        f"unexpected host page fault at pc={cpu.pc:#x}: "
+                        f"{fault.access_kind} access to {fault.vaddr:#x} ({fault.kind})",
+                        pc=cpu.pc,
+                        fault=fault,
+                    )
+            except EnvCall:
+                code, value = cpu.get_args(2)
+                result = self.kernel.service_syscall(self.task, code, value)
+                cpu.regs.write(cpu.abi.ret_reg, result or 0)
+            except ReturnToRuntime as ret:
+                return ret.retval
+            except Halted:
+                return 0
+            except (MisalignedFetch, IllegalInstruction) as fault:
+                raise ProcessCrash(
+                    self.task, f"host fetch fault at pc={cpu.pc:#x}: {fault}", pc=cpu.pc
+                )
+            except IsaFault as fault:
+                raise ProcessCrash(
+                    self.task, f"host fault at pc={cpu.pc:#x}: {fault}", pc=cpu.pc
+                )
+
+    def _hijacked_return(self, retval: int) -> Generator:
+        """Return from the hijacked call site as if it ran locally."""
+        cpu = self.cpu
+        raw = yield from cpu.port.load(cpu.sp, 8)
+        cpu.sp = cpu.sp + 8
+        cpu.pc = int.from_bytes(raw, "little")
+        cpu.regs.write(cpu.abi.ret_reg, retval)
+
+    def _call_host_function(self, target: int, args: List[int]) -> Generator:
+        yield self.sim.timeout(self.cfg.host_call_dispatch_ns)
+        yield from self.cpu.setup_call(target, list(args))  # keep current stack
+        return (yield from self._step_loop())
+
+    # -- degraded mode: host-side NISA emulation ----------------------------------
+
+    def _run_fallback(self, target: int, args: List[int]) -> Generator:
+        """Emulate the NISA callee on the host via a penalized interpreter.
+
+        The NxP can no longer take the call, but the NISA text and the
+        thread's NxP stack window are still mapped in the shared address
+        space, so the host can *emulate* the callee: a second
+        interpreter over a :class:`FallbackMemoryPort` (inverted NX
+        sense, like the NxP MMU) at ``host_fallback_penalty`` times the
+        host cycle time — emulation, not native issue.  NxP-resident
+        data (BRAM stack, BAR0 windows) is reached over PCIe, adding the
+        natural placement penalty on top.
+
+        A fetch that faults under the inverted NX sense (or misaligns /
+        fails to decode) is NISA code calling back into host code; where
+        the live NxP would emit a call-migration descriptor, the
+        emulator just runs the host function *inline* on this thread's
+        real host interpreter, then replays the NxP's return dispatch
+        (pc <- ra, retval in a0) on the emulated register file.
+        """
+        task = self.task
+        cfg = self.cfg
+        machine = self.machine
         if self._fallback_cpu is None:
             port = FallbackMemoryPort(
                 self.sim,
@@ -606,25 +587,7 @@ class HostThread:
                 jit_max_superblock=cfg.jit_max_superblock,
                 trace=machine.trace,
             )
-        retval = yield from self._run_fallback(target, args)
-        machine.stats.observe("latency.degraded_session_ns", self.sim.now - session_start)
-        machine.trace.record("degraded_done", pid=task.pid, target=target)
-        machine.trace.end("h2n_session", pid=task.pid)
-        return retval
-
-    def _run_fallback(self, target: int, args: List[int]) -> Generator:
-        """The fallback twin of the NxP's ``_run_thread`` loop.
-
-        A fetch that faults under the inverted NX sense (or misaligns /
-        fails to decode) is NISA code calling back into host code; where
-        the live NxP would emit a call-migration descriptor, the
-        emulator just runs the host function *inline* on this thread's
-        real host interpreter, then replays the NxP's return dispatch
-        (pc <- ra, retval in a0) on the emulated register file.
-        """
-        task = self.task
         fcpu = self._fallback_cpu
-        machine = self.machine
         yield from fcpu.setup_call(target, list(args), sp=task.nxp_sp)
         stub_pcs = STUB_PCS
         while True:

@@ -37,6 +37,7 @@ from repro.memory.allocator import RegionAllocator
 from repro.memory.physical import MemoryRegion, MMIORegion, PhysicalMemory
 from repro.os.kernel import Kernel
 from repro.os.loader import load_executable
+from repro.os.placement import PlacementLayer
 from repro.os.scheduler import CorePool
 from repro.os.task import Process, Task
 from repro.sim.engine import Simulator
@@ -115,7 +116,6 @@ class FlickMachine:
             "host_phys", 256 * MB, mm.host_dram_size - 256 * MB
         )
         self.nxp_phys = RegionAllocator("nxp_phys", mm.bar0_base, mm.nxp_local_size)
-        self.bram_phys = RegionAllocator("bram_phys", mm.nxp_bram_base, mm.nxp_bram_size)
 
         # -- fault injection (tentpole of docs/ROBUSTNESS.md) -----------------
         # The injector exists ONLY when a fault plan is armed; with it
@@ -123,7 +123,6 @@ class FlickMachine:
         # and the machine executes the exact pre-hardening code paths —
         # that is the faults-off parity contract.
         if cfg.faults:
-            from repro.core.health import NxpHealth
             from repro.sim.faults import FaultInjector
 
             self.injector = FaultInjector(
@@ -133,10 +132,8 @@ class FlickMachine:
                 stats=self.stats,
                 trace=self.trace,
             )
-            self.health = self._build_health(cfg)
         else:
             self.injector = None
-            self.health = None
         # -- overload protection (docs/ROBUSTNESS.md) -------------------------
         # Like the injector: the retry budget exists ONLY when its knob
         # is non-default, so budget-off runs skip every consult branch
@@ -180,50 +177,21 @@ class FlickMachine:
         self.irq = InterruptController(self.sim, cfg, stats=self.stats, trace=self.trace)
 
         # -- NxP devices (docs/FLEET.md) --------------------------------------
-        # nxp_count == 1 (the default, and the paper's machine) takes the
-        # exact pre-fleet construction below — singletons first, then a
-        # pure-aliasing NxpDevice wrapper so placement/fleet code can
-        # iterate machine.devices uniformly.  nxp_count > 1 builds one
-        # ring pair / DMA engine / MSI vector / BRAM slice / health
-        # machine per device, all sharing the one PCIe link above.
+        # One ring pair / DMA engine / MSI vector / BRAM slice / health
+        # machine / scheduler per device, all sharing the one PCIe link
+        # above.  The paper's single-NxP machine is a fleet of one.
         if cfg.nxp_count < 1:
             raise ValueError(f"nxp_count must be >= 1, got {cfg.nxp_count}")
-        self.multi_nxp = cfg.nxp_count > 1
         self.devices: List[NxpDevice] = []
-        if not self.multi_nxp:
-            self.dma = DMAEngine(
-                self.sim, cfg, self.link, self.irq, stats=self.stats, trace=self.trace,
-                injector=self.injector,
-            )
-            nxp_ring_base = self.bram_phys.alloc(16 * DESCRIPTOR_BYTES, align=4096)
-            host_ring_base = self.host_phys.alloc(16 * DESCRIPTOR_BYTES, align=4096)
-            self.nxp_ring = DescriptorRing(self.phys, nxp_ring_base, 16, DESCRIPTOR_BYTES)
-            self.host_ring = DescriptorRing(self.phys, host_ring_base, 16, DESCRIPTOR_BYTES)
-            self.dma.attach_rings(self.nxp_ring, self.host_ring)
-            self.dma.register_mmio(self.mmio)
-        else:
-            self._build_devices(cfg)
-        self.placement = None
-        if self.multi_nxp:
-            from repro.os.placement import PlacementLayer
-
-            self.placement = PlacementLayer(self, cfg.placement_policy)
+        self._build_devices(cfg)
+        self.placement = PlacementLayer(self, cfg.placement_policy)
 
         # -- OS + platforms ---------------------------------------------------------
         self.cores = CorePool(self.sim, host_cores, stats=self.stats)
         self.kernel = Kernel(self.sim, cfg, self)
-        if self.multi_nxp:
-            for dev in self.devices:
-                dev.platform = NxpPlatform(self, device=dev)
-            self.nxp = self.devices[0].platform
-        else:
-            self.nxp = NxpPlatform(self)
-            dev0 = NxpDevice(
-                self, 0, MIGRATION_VECTOR, self.dma, self.nxp_ring,
-                self.host_ring, self.bram_phys, self.health,
-            )
-            dev0.platform = self.nxp
-            self.devices.append(dev0)
+        for dev in self.devices:
+            dev.platform = NxpPlatform(self, dev)
+        self.nxp = self.devices[0].platform
         self.threads: List[HostThread] = []
         self.runtime_symbols = dict(STUB_SYMBOLS)
         # Multi-ISA kernel modules (Section IV-D): segments shared by
@@ -234,13 +202,12 @@ class FlickMachine:
         self.module_isa_of_symbol: Dict[str, object] = {}
 
     def _build_devices(self, cfg: FlickConfig) -> None:
-        """Multi-NxP construction: per-device rings/DMA/vector/BRAM/health.
+        """Per-device rings/DMA/vector/BRAM/health.
 
-        Device 0's BRAM slice starts at the BRAM base and allocates its
-        inbound ring first, so its ring/staging/stack addresses coincide
-        with the single-NxP layout.  The machine-level singleton handles
-        (``dma``, ``nxp_ring``, ``host_ring``, ``bram_phys``, ``health``)
-        are re-aliased to device 0 for any code that still reads them.
+        Each device's BRAM slice allocates its inbound ring first, so a
+        one-device machine keeps the paper's layout.  The machine-level
+        handles (``dma``, ``nxp_ring``, ``host_ring``, ``bram_phys``,
+        ``health``) alias device 0 for any code that still reads them.
         """
         mm = self.memory_map
         n = cfg.nxp_count
@@ -316,7 +283,7 @@ class FlickMachine:
             if fallback is not None:
                 engines.append(getattr(fallback, "_jit", None))
         for dev in self.devices:
-            engines.append(getattr(dev.platform.cpu, "_jit", None))
+            engines.append(getattr(getattr(dev.platform, "cpu", None), "_jit", None))
         for engine in engines:
             if engine is None:
                 continue
@@ -430,21 +397,17 @@ class FlickMachine:
 
     # -- services used by the runtimes -------------------------------------------------
 
-    def alloc_nxp_stack(self, device: Optional[NxpDevice] = None) -> int:
-        """Allocate one thread's NxP stack from BRAM; returns its vaddr.
-
-        ``device`` (multi-NxP only) selects whose BRAM slice backs the
-        stack; the whole BRAM window is mapped in every address space,
-        so the vaddr formula is slice-agnostic.
-        """
+    def alloc_nxp_stack(self, device: NxpDevice) -> int:
+        """Allocate one thread's NxP stack from ``device``'s BRAM slice;
+        returns its vaddr.  The whole BRAM window is mapped in every
+        address space, so the vaddr formula is slice-agnostic."""
         from repro.os.loader import NXP_STACK_VBASE
 
-        alloc = self.bram_phys if device is None else device.bram
-        paddr = alloc.alloc(self.cfg.nxp_stack_bytes, align=4096)
+        paddr = device.bram.alloc(self.cfg.nxp_stack_bytes, align=4096)
         return NXP_STACK_VBASE + (paddr - self.memory_map.nxp_bram_base)
 
     def release_nxp_stack(self, vaddr: int) -> None:
-        """Return a finished thread's NxP stack to the BRAM allocator.
+        """Return a finished thread's NxP stack to its BRAM slice.
 
         BRAM is 16 MB and stacks are 64 KB, so a machine that never
         recycles them caps out near 250 migrating tasks over its whole
@@ -455,13 +418,11 @@ class FlickMachine:
         from repro.os.loader import NXP_STACK_VBASE
 
         paddr = self.memory_map.nxp_bram_base + (vaddr - NXP_STACK_VBASE)
-        if self.multi_nxp:
-            for dev in self.devices:
-                if dev.bram.owns(paddr):
-                    dev.bram.free(paddr)
-                    return
-            raise ValueError(f"NxP stack vaddr {vaddr:#x} owned by no device")
-        self.bram_phys.free(paddr)
+        for dev in self.devices:
+            if dev.bram.owns(paddr):
+                dev.bram.free(paddr)
+                return
+        raise ValueError(f"NxP stack vaddr {vaddr:#x} owned by no device")
 
     def kill_nxp(self, index: int, mode: str = "abrupt") -> None:
         """Chaos hook: take NxP ``index`` out of service mid-run.
@@ -473,8 +434,6 @@ class FlickMachine:
         in-flight legs are recovered by the hardened watchdogs — it
         therefore *requires* an armed fault plan.
         """
-        if not self.multi_nxp:
-            raise ValueError("kill_nxp requires a multi-NxP machine (nxp_count > 1)")
         dev = self.devices[index]
         if mode == "drain":
             dev.draining = True
@@ -534,13 +493,10 @@ class FlickMachine:
             ring.head = ring.tail = ring.reserved = 0
         # ... and the platform's hardened replay caches + scheduler, so
         # the revived device starts from a clean idempotency horizon.
-        # A hosted machine runs _HostedNxpEngine dispatchers instead of
-        # the interpreted platforms; it registers them as hosted_engine.
-        engine = getattr(dev, "hosted_engine", None) or dev.platform
-        engine.reset_device()
+        dev.platform.reset_device()
         self.stats.count("nxp.revived")
         self.trace.record("nxp_revive", device=index)
-        engine.start()
+        dev.platform.start()
 
     # -- admission control (docs/ROBUSTNESS.md) -----------------------------
 

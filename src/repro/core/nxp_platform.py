@@ -18,6 +18,13 @@ Reentrancy is handled with a per-thread stack of saved register
 contexts: each nested call level pushes one snapshot, exactly as each
 level of the paper's handler occupies one more frame of the thread's
 NxP stack.
+
+The device-side protocol lives once, in :class:`NxpScheduler`: the
+polling head, hardened intake, descriptor staging and the outbound
+migrations.  An execution back-end supplies only the dispatch of one
+inbound call or return descriptor — :class:`NxpPlatform` steps the NISA
+interpreter, and hosted mode (``repro.core.hosted``) runs Python bodies
+(docs/PROTOCOL.md).
 """
 
 from __future__ import annotations
@@ -48,52 +55,24 @@ from repro.os.kernel import ProcessCrash
 from repro.os.task import CpuContext, Task
 from repro.sim.engine import Event
 
-__all__ = ["NxpPlatform"]
+__all__ = ["NxpPlatform", "NxpScheduler"]
 
 
-class NxpPlatform:
-    """One NxP core + its TLBs/MMU/caches + the polling scheduler.
+class NxpScheduler:
+    """One NxP device's bare-metal scheduler and migration handler,
+    back-end neutral.
 
-    ``device`` is ``None`` on a single-NxP machine (the platform uses
-    the machine's singleton ring/DMA/BRAM — the exact pre-fleet paths);
-    a multi-NxP machine passes this platform's
-    :class:`~repro.core.nxp_device.NxpDevice`, whose ring/DMA/BRAM are
-    used instead.  Stat names stay the legacy ``nxp.*`` on every
-    device, so multi-NxP counters aggregate across the fleet of cores.
+    Stat names are the legacy ``nxp.*`` on every device, so counters
+    aggregate across a fleet.  Subclasses supply :meth:`_dispatch`.
     """
 
-    def __init__(self, machine, device=None):
+    def __init__(self, machine, device):
         self.machine = machine
-        self._device = device
+        self.device = device
         self.sim = machine.sim
         self.cfg = machine.cfg
-        self.current_tables: Optional[PageTables] = None
-        self.walker = PageWalker(
-            self.sim, self.cfg, lambda: self.current_tables, stats=machine.stats, name="nxp.mmu"
-        )
-        self.port = NxpMemoryPort(
-            self.sim,
-            self.cfg,
-            machine.phys,
-            machine.link,
-            self.walker,
-            stats=machine.stats,
-            tables_provider=lambda: self.current_tables,
-        )
-        self.cpu = Interpreter(
-            "nisa",
-            self.sim,
-            self.port,
-            CostModel(self.cfg.nxp_cycle_ns, ipc=1.0),
-            stats=machine.stats,
-            name="nxp.core",
-            decode_cache=self.cfg.decode_cache,
-            jit=self.cfg.jit_enabled,
-            jit_hot_threshold=self.cfg.jit_hot_threshold,
-            jit_max_superblock=self.cfg.jit_max_superblock,
-            trace=machine.trace,
-        )
-        self._staging: Optional[int] = None
+        self._staging: Optional[List[int]] = None
+        self._staging_idx = 0
         self._proc = None
         # Hardened-protocol state (advanced only when faults are armed):
         # per-pid inbound dedup and the outbound replay cache that lets a
@@ -107,12 +86,9 @@ class NxpPlatform:
     def start(self) -> None:
         """Boot the scheduler (idempotent)."""
         if self._proc is None:
-            name = (
-                "nxp-scheduler"
-                if self._device is None
-                else f"nxp-scheduler.{self._device.index}"
+            self._proc = self.sim.spawn(
+                self._scheduler(), name=f"nxp-scheduler.{self.device.index}"
             )
-            self._proc = self.sim.spawn(self._scheduler(), name=name)
 
     def reset_device(self) -> None:
         """Device-reset half of ``machine.revive_nxp`` (docs/ROBUSTNESS.md).
@@ -139,14 +115,11 @@ class NxpPlatform:
     # -- the polling scheduler --------------------------------------------------
 
     def _scheduler(self) -> Generator:
-        dev = self._device
-        ring = self.machine.nxp_ring if dev is None else dev.nxp_ring
-        dma = self.machine.dma if dev is None else dev.dma
-        status_addr = self.cfg.memory_map.mmio_base + (
-            0x00 if dev is None else dev.index * 0x10
-        )
+        dev = self.device
+        ring = dev.nxp_ring
+        machine = self.machine
         while True:
-            if dev is not None and dev.killed:
+            if dev.killed:
                 # Abruptly-killed device (chaos): the scheduler silicon
                 # stops.  In-flight host legs are recovered by their
                 # watchdogs; this process simply exits so the sim can
@@ -157,52 +130,44 @@ class NxpPlatform:
                 # register; the simulation sleeps until the next arrival
                 # and charges half a poll period (the mean discovery
                 # delay of a free-running poll loop).
-                yield dma.nxp_arrival.get()
-                if dev is not None and dev.killed:
+                yield dev.dma.nxp_arrival.get()
+                if dev.killed:
                     return
                 yield self.sim.timeout(self.cfg.nxp_poll_period_ns / 2.0)
-                if self.machine.phys.read_u64(status_addr) == 0:
+                # STATUS reads the inbound ring's pending count.
+                if ring.pending == 0:
                     continue  # stale wakeup: descriptor already consumed
             dispatch_start = self.sim.now
             yield self.sim.timeout(self.cfg.nxp_sched_dispatch_ns)
             slot = ring.pop_addr()
-            raw = self.machine.phys.read(slot, DESCRIPTOR_BYTES)
-            if self.machine.hardened:
+            raw = machine.phys.read(slot, DESCRIPTOR_BYTES)
+            if machine.hardened:
                 desc = yield from self._hardened_admit(raw)
                 if desc is None:
                     continue
             else:
                 desc = MigrationDescriptor.unpack(raw)
-            task = self.machine.kernel.task_by_pid(desc.pid)
-            self._switch_address_space(task, desc.cr3)
-            yield self.sim.timeout(self.cfg.nxp_context_switch_ns)
+            yield from self._dispatch(machine.kernel.task_by_pid(desc.pid), desc)
+            machine.stats.sample("nxp.busy_ns", self.sim.now - dispatch_start)
 
-            # Which device's core this residency runs on: the singleton
-            # platform is device 0.  The attr feeds per-device
-            # utilization (analysis/metrics.py) and causal trace labels.
-            dev_index = 0 if dev is None else dev.index
-            if desc.is_call:
-                self.machine.trace.record("nxp_dispatch_call", pid=desc.pid, target=desc.target)
-                self.machine.trace.begin(
-                    "nxp_resident", pid=desc.pid, entry="call", device=dev_index
-                )
-                yield from self.cpu.setup_call(desc.target, desc.args, sp=desc.nxp_sp)
-            else:
-                self.machine.trace.record("nxp_dispatch_return", pid=desc.pid)
-                self.machine.trace.begin(
-                    "nxp_resident", pid=desc.pid, entry="return", device=dev_index
-                )
-                if not task.nxp_context_stack:
-                    raise ProcessCrash(task, "return descriptor with no suspended NxP context")
-                ctx = task.nxp_context_stack.pop()
-                self.cpu.regs.restore(ctx.regs)
-                # Simulated return from the (hijacked) JAL: pc <- ra,
-                # return value in a0.
-                self.cpu.pc = self.cpu.regs.read(self.cpu.abi.link_reg)
-                self.cpu.regs.write(self.cpu.abi.ret_reg, desc.retval)
+    def _dispatch(self, task: Task, desc: MigrationDescriptor) -> Generator:
+        """Back-end hook: switch to ``task`` and run the inbound call or
+        return descriptor until the core is free again."""
+        raise NotImplementedError
 
-            yield from self._run_thread(task)
-            self.machine.stats.sample("nxp.busy_ns", self.sim.now - dispatch_start)
+    def _begin_residency(self, desc: MigrationDescriptor) -> None:
+        """Trace the start of one dispatched residency on this core.
+
+        The device attr feeds per-device utilization
+        (analysis/metrics.py) and causal trace labels."""
+        trace = self.machine.trace
+        if desc.is_call:
+            trace.record("nxp_dispatch_call", pid=desc.pid, target=desc.target)
+            entry = "call"
+        else:
+            trace.record("nxp_dispatch_return", pid=desc.pid)
+            entry = "return"
+        trace.begin("nxp_resident", pid=desc.pid, entry=entry, device=self.device.index)
 
     # -- hardened intake (active only when a fault plan is armed) -----------------
 
@@ -267,101 +232,35 @@ class NxpPlatform:
         task = self.machine.kernel.task_by_pid(pid)
         yield from self._push_desc(task, desc)
 
-    def _switch_address_space(self, task: Task, cr3: int) -> None:
-        tables = task.process.page_tables
-        if cr3 and tables.cr3 != cr3:
-            raise ProcessCrash(task, f"descriptor CR3 {cr3:#x} != process CR3 {tables.cr3:#x}")
-        if self.current_tables is not tables:
-            self.current_tables = tables
-            self.port.flush_tlbs()
-            # The decode cache is keyed by virtual PC; a different
-            # address space may map different code at the same PCs.
-            self.cpu.invalidate_decode_cache()
-            self.machine.stats.count("nxp.address_space_switch")
-
-    # -- thread execution until it leaves the NxP ----------------------------------
-
-    def _run_thread(self, task: Task) -> Generator:
-        cpu = self.cpu
-        step = cpu.step
-        stub_pcs = STUB_PCS
-        while True:
-            if cpu.pc in stub_pcs:
-                yield from service_stub(self.machine, task, cpu)
-                continue
-            try:
-                yield from step()
-            except ReturnToRuntime as ret:
-                yield from self._return_migration(task, ret.retval)
-                return
-            except PageFault as fault:
-                if fault.kind == PageFault.NX_VIOLATION and fault.is_exec:
-                    self.machine.kernel.classify_exec_fault(task, fault, running_on="nisa")
-                    yield from self._call_migration(task, fault.vaddr, trigger="nx")
-                    return
-                raise ProcessCrash(
-                    task,
-                    f"unexpected nxp page fault at pc={cpu.pc:#x}: "
-                    f"{fault.access_kind} access to {fault.vaddr:#x} ({fault.kind})",
-                    pc=cpu.pc,
-                    fault=fault,
-                )
-            except MisalignedFetch as fault:
-                # Variable-length HISA code rarely sits 8-aligned: treat
-                # as a migration request if it points at host text.
-                self.machine.kernel.classify_exec_fault(
-                    task, PageFault(fault.pc, PageFault.NX_VIOLATION, is_exec=True), "nisa"
-                )
-                yield from self._call_migration(task, fault.pc, trigger="misaligned")
-                return
-            except IllegalInstruction as fault:
-                self.machine.kernel.classify_exec_fault(
-                    task, PageFault(fault.pc, PageFault.NX_VIOLATION, is_exec=True), "nisa"
-                )
-                yield from self._call_migration(task, fault.pc, trigger="illegal")
-                return
-            except EnvCall:
-                code, value = cpu.get_args(2)
-                result = self.machine.kernel.service_syscall(task, code, value)
-                cpu.regs.write(cpu.abi.ret_reg, result or 0)
-            except Halted:
-                yield from self._return_migration(task, 0)
-                return
-            except IsaFault as fault:
-                raise ProcessCrash(
-                    task, f"nxp fault at pc={cpu.pc:#x}: {fault}", pc=cpu.pc
-                )
-
     # -- outbound migrations (Listing 2) ----------------------------------------------
 
-    def _return_migration(self, task: Task, retval: int) -> Generator:
-        cfg = self.cfg
-        yield self.sim.timeout(cfg.nxp_desc_build_ns)
-        task.nxp_sp = self.cpu.sp
+    def _return_migration(self, task: Task, retval: int, nxp_sp: int) -> Generator:
+        """The NISA function finished at ``nxp_sp``: send the n2h return
+        descriptor."""
+        yield self.sim.timeout(self.cfg.nxp_desc_build_ns)
+        task.nxp_sp = nxp_sp
         desc = MigrationDescriptor(
             kind=KIND_RETURN,
             direction=DIR_N2H,
             pid=task.pid,
             retval=retval,
             cr3=task.process.cr3,
-            nxp_sp=self.cpu.sp,
+            nxp_sp=nxp_sp,
         )
         yield from self._send_to_host(task, desc)
         self.machine.trace.record("n2h_return", pid=task.pid)
         self.machine.trace.end("nxp_resident", pid=task.pid, exit="return")
 
-    def _call_migration(self, task: Task, target: int, trigger: str) -> Generator:
-        cfg = self.cfg
-        yield self.sim.timeout(cfg.nxp_fault_entry_ns)
-        self.machine.stats.count(f"nxp.migrate_trigger.{trigger}")
-        args = self.cpu.get_args(6)
-        # Save this nesting level's context; it resumes on the matching
-        # return descriptor.
-        task.nxp_context_stack.append(
-            CpuContext(regs=self.cpu.regs.snapshot(), pc=target)
-        )
-        task.nxp_sp = self.cpu.sp
-        yield self.sim.timeout(cfg.nxp_desc_build_ns)
+    def _call_migration(
+        self, task: Task, target: int, args: List[int], nxp_sp: int
+    ) -> Generator:
+        """NISA code called host code: send the n2h call descriptor.
+
+        The caller has already charged the fault entry and saved
+        whatever it needs to resume on the matching return descriptor.
+        """
+        task.nxp_sp = nxp_sp
+        yield self.sim.timeout(self.cfg.nxp_desc_build_ns)
         desc = MigrationDescriptor(
             kind=KIND_CALL,
             direction=DIR_N2H,
@@ -369,7 +268,7 @@ class NxpPlatform:
             target=target,
             args=args,
             cr3=task.process.cr3,
-            nxp_sp=self.cpu.sp,
+            nxp_sp=nxp_sp,
         )
         yield from self._send_to_host(task, desc)
         self.machine.trace.record("n2h_call", pid=task.pid, target=target)
@@ -394,22 +293,143 @@ class NxpPlatform:
         if cfg.injected_migration_rt_ns:
             # Prior-work overhead emulation (see host_runtime counterpart).
             yield self.sim.timeout(cfg.injected_migration_rt_ns / 2.0)
-        dev = self._device
         if self._staging is None:
             # A small rotating pool so a burst in flight is never
             # overwritten by the next outbound descriptor.
-            bram = self.machine.bram_phys if dev is None else dev.bram
+            bram = self.device.bram
             self._staging = [
                 bram.alloc(DESCRIPTOR_BYTES, align=64) for _ in range(8)
             ]
-            self._staging_idx = 0
         buf = self._staging[self._staging_idx]
         self._staging_idx = (self._staging_idx + 1) % len(self._staging)
         self.machine.phys.write(buf, desc.pack())
         yield self.sim.timeout(cfg.nxp_context_switch_ns)  # back to scheduler
         yield self.sim.timeout(cfg.nxp_dma_kick_ns)
-        dma = self.machine.dma if dev is None else dev.dma
         self.sim.spawn(
-            dma.push_to_host(buf, DESCRIPTOR_BYTES, pid=task.pid),
+            self.device.dma.push_to_host(buf, DESCRIPTOR_BYTES, pid=task.pid),
             name=f"dma-n2h-{task.name}",
         )
+
+
+class NxpPlatform(NxpScheduler):
+    """One NxP core + its TLBs/MMU/caches running NISA code (interpreted
+    back-end)."""
+
+    def __init__(self, machine, device):
+        super().__init__(machine, device)
+        self.current_tables: Optional[PageTables] = None
+        self.walker = PageWalker(
+            self.sim, self.cfg, lambda: self.current_tables, stats=machine.stats, name="nxp.mmu"
+        )
+        self.port = NxpMemoryPort(
+            self.sim,
+            self.cfg,
+            machine.phys,
+            machine.link,
+            self.walker,
+            stats=machine.stats,
+            tables_provider=lambda: self.current_tables,
+        )
+        self.cpu = Interpreter(
+            "nisa",
+            self.sim,
+            self.port,
+            CostModel(self.cfg.nxp_cycle_ns, ipc=1.0),
+            stats=machine.stats,
+            name="nxp.core",
+            decode_cache=self.cfg.decode_cache,
+            jit=self.cfg.jit_enabled,
+            jit_hot_threshold=self.cfg.jit_hot_threshold,
+            jit_max_superblock=self.cfg.jit_max_superblock,
+            trace=machine.trace,
+        )
+
+    def _switch_address_space(self, task: Task, cr3: int) -> None:
+        tables = task.process.page_tables
+        if cr3 and tables.cr3 != cr3:
+            raise ProcessCrash(task, f"descriptor CR3 {cr3:#x} != process CR3 {tables.cr3:#x}")
+        if self.current_tables is not tables:
+            self.current_tables = tables
+            self.port.flush_tlbs()
+            # The decode cache is keyed by virtual PC; a different
+            # address space may map different code at the same PCs.
+            self.cpu.invalidate_decode_cache()
+            self.machine.stats.count("nxp.address_space_switch")
+
+    def _dispatch(self, task: Task, desc: MigrationDescriptor) -> Generator:
+        cpu = self.cpu
+        self._switch_address_space(task, desc.cr3)
+        yield self.sim.timeout(self.cfg.nxp_context_switch_ns)
+        self._begin_residency(desc)
+        if desc.is_call:
+            yield from cpu.setup_call(desc.target, desc.args, sp=desc.nxp_sp)
+        else:
+            if not task.nxp_context_stack:
+                raise ProcessCrash(task, "return descriptor with no suspended NxP context")
+            ctx = task.nxp_context_stack.pop()
+            cpu.regs.restore(ctx.regs)
+            # Simulated return from the (hijacked) JAL: pc <- ra,
+            # return value in a0.
+            cpu.pc = cpu.regs.read(cpu.abi.link_reg)
+            cpu.regs.write(cpu.abi.ret_reg, desc.retval)
+        # Run the thread until it leaves the NxP — inline, not a helper
+        # generator, since every instruction step yields through here.
+        step = cpu.step
+        stub_pcs = STUB_PCS
+        while True:
+            if cpu.pc in stub_pcs:
+                yield from service_stub(self.machine, task, cpu)
+                continue
+            try:
+                yield from step()
+            except ReturnToRuntime as ret:
+                yield from self._return_migration(task, ret.retval, cpu.sp)
+                return
+            except PageFault as fault:
+                if fault.kind == PageFault.NX_VIOLATION and fault.is_exec:
+                    self.machine.kernel.classify_exec_fault(task, fault, running_on="nisa")
+                    yield from self._fault_to_host(task, fault.vaddr, trigger="nx")
+                    return
+                raise ProcessCrash(
+                    task,
+                    f"unexpected nxp page fault at pc={cpu.pc:#x}: "
+                    f"{fault.access_kind} access to {fault.vaddr:#x} ({fault.kind})",
+                    pc=cpu.pc,
+                    fault=fault,
+                )
+            except MisalignedFetch as fault:
+                # Variable-length HISA code rarely sits 8-aligned: treat
+                # as a migration request if it points at host text.
+                self.machine.kernel.classify_exec_fault(
+                    task, PageFault(fault.pc, PageFault.NX_VIOLATION, is_exec=True), "nisa"
+                )
+                yield from self._fault_to_host(task, fault.pc, trigger="misaligned")
+                return
+            except IllegalInstruction as fault:
+                self.machine.kernel.classify_exec_fault(
+                    task, PageFault(fault.pc, PageFault.NX_VIOLATION, is_exec=True), "nisa"
+                )
+                yield from self._fault_to_host(task, fault.pc, trigger="illegal")
+                return
+            except EnvCall:
+                code, value = cpu.get_args(2)
+                result = self.machine.kernel.service_syscall(task, code, value)
+                cpu.regs.write(cpu.abi.ret_reg, result or 0)
+            except Halted:
+                yield from self._return_migration(task, 0, cpu.sp)
+                return
+            except IsaFault as fault:
+                raise ProcessCrash(
+                    task, f"nxp fault at pc={cpu.pc:#x}: {fault}", pc=cpu.pc
+                )
+
+    def _fault_to_host(self, task: Task, target: int, trigger: str) -> Generator:
+        """A fetch of host code faulted: call-migrate to ``target``."""
+        yield self.sim.timeout(self.cfg.nxp_fault_entry_ns)
+        self.machine.stats.count(f"nxp.migrate_trigger.{trigger}")
+        cpu = self.cpu
+        args = cpu.get_args(6)
+        # Save this nesting level's context; it resumes on the matching
+        # return descriptor.
+        task.nxp_context_stack.append(CpuContext(regs=cpu.regs.snapshot(), pc=target))
+        yield from self._call_migration(task, target, args, cpu.sp)

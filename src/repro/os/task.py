@@ -107,7 +107,6 @@ class Task:
         self.state = TaskState.READY
         self.host_context: Optional[CpuContext] = None
         # Flick additions to task_struct (Section IV-B1 / IV-D):
-        self.faulting_target: Optional[int] = None
         self.migration_pending: bool = False
         self.nxp_stack_base: Optional[int] = None  # None => never migrated
         self.nxp_sp: Optional[int] = None  # thread's current NxP stack pointer
@@ -123,10 +122,9 @@ class Task:
         # per-process value surfaced here because the ioctl works in
         # task terms.
         self.last_in_seq: int = 0
-        # Multi-NxP only: index of the device whose BRAM slice holds
-        # this task's NxP stack (the ``locality`` policy's affinity);
-        # None until the first migration, and always None on a
-        # single-NxP machine.
+        # Index of the device whose BRAM slice holds this task's NxP
+        # stack (the ``locality`` policy's affinity); None until the
+        # first migration.
         self.nxp_device: Optional[int] = None
 
     @property

@@ -280,6 +280,8 @@ class TestPlacementSidecar:
         back = report_from_json(render_json(multi_report))
         assert back.placement == multi_report.placement
 
-    def test_single_nxp_report_has_no_placement(self, report):
-        assert report.placement == {}
-        assert "flick_placement" not in render_openmetrics(report)
+    def test_single_nxp_report_places_on_device_zero(self, report):
+        # A single NxP is a fleet of one: all five sessions go to dev0.
+        assert report.placement == {"placement.pick.dev0": 5}
+        assert all(not k.startswith("placement.") for k in report.stats)
+        assert "flick_placement_pick_dev0_total" in render_openmetrics(report)

@@ -10,6 +10,9 @@ evidence that the hosted sweeps measure the same machine.
 import pytest
 
 from repro import FlickMachine
+from repro.core.config import FlickConfig
+from repro.core.hosted import HostedMachine, HostedProgram
+from repro.sim.faults import FaultRule
 from repro.workloads.pointer_chase import run_pointer_chase
 
 TRAVERSE_SRC = """
@@ -112,3 +115,49 @@ class TestModeFidelity:
         assert 10 <= per_node_insts <= 35  # the naive stack codegen
         # ... and it explains the timing gap: also check both deltas agree.
         assert counts[138] - counts[74] == counts[74] - counts[10]
+
+
+BUMP_ONCE_SRC = """
+@nxp func bump(x) { return x + 3; }
+func main(a) { return bump(a); }
+"""
+
+
+def _hosted_bump_once(cfg):
+    prog = HostedProgram()
+
+    @prog.nxp()
+    def bump(ctx, x):
+        ctx.compute(10)
+        yield from ctx.maybe_flush()
+        return x + 3
+
+    @prog.host()
+    def main(ctx, a):
+        return (yield from ctx.call("bump", a))
+
+    return HostedMachine(prog, cfg=cfg).run("main", [14])
+
+
+class TestCorruptDescriptorParity:
+    def test_corrupt_h2n_descriptor_reported_alike(self):
+        """Both modes share one device-side intake, so a descriptor
+        corrupted in flight is discarded, traced and retried the same
+        way."""
+        cfg = FlickConfig(
+            faults=(FaultRule("dma_corrupt", direction="h2n", count=1),),
+            fault_seed=1,
+        )
+        interp_machine = FlickMachine(cfg)
+        interp = interp_machine.run_program(BUMP_ONCE_SRC, args=[14])
+        hosted = _hosted_bump_once(cfg)
+        assert interp.retval == hosted.retval == 17
+
+        def discards(machine):
+            return [dict(e.attrs) for e in machine.trace.filter("desc_discard")]
+
+        assert discards(interp_machine) == discards(hosted.machine) == [
+            {"reason": "corrupt", "side": "nxp"}
+        ]
+        for key in ("nxp.desc_corrupt_discarded", "migration.retry"):
+            assert interp.stats.get(key) == hosted.stats.get(key) == 1, key

@@ -2,17 +2,18 @@
 
 Three invariants anchor the fleet layer:
 
-1. **Single-device parity** — ``nxp_count=1`` takes the exact pre-fleet
-   construction path, and ``nxp_count=2`` with the static policy routes
-   every session to device 0 over device 0's ring/DMA/vector, so both
-   must produce bit-identical timing and stats (modulo the placement
-   sidecar counters that only exist on multi machines).
+1. **Single-device parity** — ``nxp_count=1`` is a fleet of one, and
+   ``nxp_count=2`` with the static policy routes every session to
+   device 0 over device 0's ring/DMA/vector, so both must produce
+   bit-identical timing and stats (modulo the placement sidecar
+   counters).
 2. **Distribution** — non-static policies actually spread outermost
    sessions across devices, and draining a device excludes it from new
    placements.
-3. **Kill semantics** — ``kill_nxp`` validates its preconditions, and an
+3. **Kill semantics** — ``kill_nxp`` validates its preconditions, an
    abrupt mid-run kill of one device is fully recovered by the hardened
-   protocol (the chaos kill case survives with the correct retval).
+   protocol (the chaos kill case survives with the correct retval), and
+   a killed lone device degrades to host fallback or is revived.
 """
 
 import pytest
@@ -90,7 +91,7 @@ class TestSingleDeviceParity:
 class TestTopology:
     def test_per_device_resources(self):
         machine = FlickMachine(FlickConfig(nxp_count=4))
-        assert machine.multi_nxp and len(machine.devices) == 4
+        assert len(machine.devices) == 4
         mm = machine.memory_map
         spans = []
         for i, dev in enumerate(machine.devices):
@@ -112,13 +113,15 @@ class TestTopology:
         assert machine.bram_phys is dev0.bram
         assert machine.nxp is dev0.platform
 
-    def test_single_machine_has_uniform_device_list(self):
+    def test_single_machine_is_a_fleet_of_one(self):
         machine = FlickMachine()
-        assert not machine.multi_nxp
         (dev0,) = machine.devices
         assert dev0.vector == MIGRATION_VECTOR
         assert dev0.dma is machine.dma
-        assert machine.placement is None
+        assert machine.nxp is dev0.platform
+        outcome = machine.run_program(BUMP_LOOP, args=[4])
+        assert outcome.retval == 17
+        assert machine.placement.session_counts() == {0: 4}
 
     def test_nxp_count_validated(self):
         with pytest.raises(ValueError, match="nxp_count"):
@@ -154,9 +157,41 @@ class TestDistribution:
 
 
 class TestKillSemantics:
-    def test_kill_requires_multi_nxp(self):
-        with pytest.raises(ValueError, match="multi-NxP"):
-            FlickMachine().kill_nxp(0)
+    def test_drain_kill_on_single_device_degrades(self):
+        machine = FlickMachine()
+        machine.kill_nxp(0, mode="drain")
+        outcome = machine.run_program(BUMP_LOOP, args=[4])
+        assert outcome.retval == 17
+        assert outcome.degraded
+        assert machine.placement.counters.get("placement.exhausted") == 4
+
+    def test_abrupt_kill_on_single_device_degrades(self):
+        machine = FlickMachine(FlickConfig(faults=QUIET))
+
+        def killer(sim):
+            yield sim.timeout(5_000.0)  # before the first opening leg lands
+            machine.kill_nxp(0, mode="abrupt")
+
+        machine.sim.spawn(killer(machine.sim), name="killer")
+        outcome = machine.run_program(BUMP_LOOP, args=[4])
+        assert outcome.retval == 17
+        assert outcome.stats["degraded.calls"] == 4
+        # The stranded leg's watchdog trips once; the device is already
+        # latched DEAD, so the retry loop stops instead of resending.
+        assert outcome.stats["migration.watchdog_trip"] == 1
+        assert machine.devices[0].health.dead
+
+    def test_revive_single_device_readmits_through_probes(self):
+        machine = FlickMachine(FlickConfig(faults=QUIET, nxp_recovery=True))
+        (dev,) = machine.devices
+        machine.kill_nxp(0, mode="abrupt")
+        assert not dev.alive and not dev.probe_ready
+        machine.revive_nxp(0)
+        assert dev.probe_ready
+        outcome = machine.run_program(BUMP_LOOP, args=[4])
+        assert outcome.retval == 17
+        assert not outcome.degraded
+        assert machine.placement.counters.get("placement.probe", 0) > 0
 
     def test_abrupt_kill_requires_hardened_protocol(self):
         machine = FlickMachine(FlickConfig(nxp_count=2))

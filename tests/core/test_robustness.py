@@ -286,6 +286,29 @@ class TestOverloadStorm:
         assert shed_ids == [r.index for r in pooled.records if r.shed]
 
 
+class TestFallbackBeforeFirstMigration:
+    def test_brownout_on_two_devices_before_first_migration(self):
+        # A brownout exit taken before the task's first migration must
+        # still give the host-emulated callee an NxP stack to run on.
+        result = run_serving(
+            TrafficConfig(
+                scenario="null_call",
+                arrival="poisson",
+                qps=40_000.0,
+                requests=60,
+                clients=4,
+                seed=1,
+                nxps=2,
+                admission_limit=1,
+                brownout=True,
+                deadline_ns=300_000.0,
+                brownout_margin_ns=50_000.0,
+            )
+        )
+        assert all(rec.ok for rec in result.records)
+        assert result.brownout_calls > 0
+
+
 class TestKillThenRevive:
     REVIVE_TC = dict(
         scenario="null_call",
