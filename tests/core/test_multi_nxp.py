@@ -217,3 +217,40 @@ class TestKillSemantics:
     def test_kill_case_validates_topology(self):
         with pytest.raises(ValueError):
             run_multi_nxp_kill_case(nxps=1)
+
+
+class TestHostedDevices:
+    """Each hosted device has its own NxP hardware state, as each
+    interpreted device does."""
+
+    @staticmethod
+    def _load_host_page_four_times(cfg):
+        from repro.os.loader import HOST_HEAP_VBASE
+
+        prog = HostedProgram()
+
+        def peek(ctx):
+            value = ctx.load(HOST_HEAP_VBASE)
+            yield from ctx.flush()
+            return value
+
+        def main(ctx):
+            for _ in range(4):
+                yield from ctx.call("peek")
+            return 0
+
+        prog.register("peek", "nisa", peek)
+        prog.register("main", "hisa", main)
+        hosted = HostedMachine(prog, cfg=cfg)
+        outcome = hosted.run("main")
+        return hosted, outcome.stats
+
+    def test_dtlb_is_per_device(self):
+        _, single = self._load_host_page_four_times(FlickConfig())
+        assert (single["hosted.nxp.dtlb.miss"], single["hosted.nxp.dtlb.hit"]) == (1, 3)
+        hosted, dual = self._load_host_page_four_times(
+            FlickConfig(nxp_count=2, placement_policy="round_robin")
+        )
+        assert hosted.machine.placement.session_counts() == {0: 2, 1: 2}
+        # Device 1's first load walks: it cannot hit on device 0's walk.
+        assert (dual["hosted.nxp.dtlb.miss"], dual["hosted.nxp.dtlb.hit"]) == (2, 2)
