@@ -186,12 +186,12 @@ class FlickMachine:
         self._build_devices(cfg)
         self.placement = PlacementLayer(self, cfg.placement_policy)
 
-        # -- OS + platforms ---------------------------------------------------------
+        # -- OS ---------------------------------------------------------------------
+        # Device platforms are built by the back-end that runs them: the
+        # interpreted NxpPlatform on first use (see _platform), or the
+        # hosted dispatcher that HostedMachine attaches.
         self.cores = CorePool(self.sim, host_cores, stats=self.stats)
         self.kernel = Kernel(self.sim, cfg, self)
-        for dev in self.devices:
-            dev.platform = NxpPlatform(self, dev)
-        self.nxp = self.devices[0].platform
         self.threads: List[HostThread] = []
         self.runtime_symbols = dict(STUB_SYMBOLS)
         # Multi-ISA kernel modules (Section IV-D): segments shared by
@@ -246,6 +246,19 @@ class FlickMachine:
         self.host_ring = dev0.host_ring
         self.bram_phys = dev0.bram
         self.health = dev0.health
+
+    @property
+    def nxp(self):
+        """Device 0's platform (None until one is attached or built)."""
+        return self.devices[0].platform
+
+    def _platform(self, dev: NxpDevice):
+        """``dev``'s scheduler, building the interpreted back-end on
+        first use.  A hosted machine attaches its dispatcher first, so
+        it never builds an interpreter it would not run."""
+        if dev.platform is None:
+            dev.platform = NxpPlatform(self, dev)
+        return dev.platform
 
     def _build_health(self, cfg: FlickConfig):
         """One per-device health machine, with the breaker knobs wired."""
@@ -326,7 +339,7 @@ class FlickMachine:
         thread = HostThread(self, task, port)
         self.threads.append(thread)
         for dev in self.devices:
-            dev.platform.start()
+            self._platform(dev).start()
         # Keep the sim-process handle: callers that interleave many
         # threads (the serving harness) join on it with ``yield proc``.
         thread.proc = self.sim.spawn(
@@ -493,10 +506,11 @@ class FlickMachine:
             ring.head = ring.tail = ring.reserved = 0
         # ... and the platform's hardened replay caches + scheduler, so
         # the revived device starts from a clean idempotency horizon.
-        dev.platform.reset_device()
+        platform = self._platform(dev)
+        platform.reset_device()
         self.stats.count("nxp.revived")
         self.trace.record("nxp_revive", device=index)
-        dev.platform.start()
+        platform.start()
 
     # -- admission control (docs/ROBUSTNESS.md) -----------------------------
 

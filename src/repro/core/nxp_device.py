@@ -10,9 +10,10 @@ fleet of one).  Each device bundles its per-device hardware:
   with STATUS registers at MMIO offset ``i * 0x10``,
 * a BRAM slice allocator (stacks + staging buffers for this device),
 * an :class:`~repro.core.health.NxpHealth` machine when faults are
-  armed, and
-* the device's scheduler — an :class:`~repro.core.nxp_platform.NxpPlatform`,
-  or the hosted dispatcher on a hosted machine.
+  armed,
+* the registry of NxP-local windows its D-cache may cache, and
+* the device's scheduler — an :class:`~repro.core.nxp_platform.NxpPlatform`
+  (built on first use), or the hosted dispatcher on a hosted machine.
 
 All devices share one PCIe link, so concurrent descriptor traffic
 serializes there — the natural contention model.
@@ -21,6 +22,8 @@ serializes there — the natural contention model.
 from __future__ import annotations
 
 from typing import Optional
+
+from repro.memory.cache import CacheableFilter
 
 __all__ = ["NxpDevice"]
 
@@ -38,6 +41,9 @@ class NxpDevice:
         self.host_ring = host_ring
         self.bram = bram  # RegionAllocator over this device's BRAM slice
         self.health = health  # NxpHealth, or None when faults are unarmed
+        #: NxP-local windows the loader registered as D-cacheable; the
+        #: interpreted platform's memory port reads this registry.
+        self.cacheable = CacheableFilter()
         self.platform = None  # NxpScheduler back-end, attached by the machine
         #: Migration sessions currently routed to this device (opened by
         #: the host runtime, closed when the session's final return

@@ -330,6 +330,7 @@ class NxpPlatform(NxpScheduler):
             stats=machine.stats,
             tables_provider=lambda: self.current_tables,
         )
+        self.port.cacheable = device.cacheable
         self.cpu = Interpreter(
             "nisa",
             self.sim,

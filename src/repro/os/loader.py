@@ -162,8 +162,8 @@ def load_executable(machine, exe: Executable, name: Optional[str] = None) -> Pro
         if seg.placement == "nxp" and seg.isa is None:
             # Annotated NxP-local data needs no host coherence (Section
             # III-D): the NxP D-cache may cache it.  The loader registers
-            # the cacheable window with the platform, as the paper's
+            # the cacheable window with the device, as the paper's
             # loader arranges for NxP-specific .data/.bss sections.
-            machine.nxp.port.cacheable.allow(paddr, span)
+            machine.devices[0].cacheable.allow(paddr, span)
 
     return process

@@ -241,3 +241,39 @@ class TestTimingFidelity:
         hosted.run("main", [NXP_STACK_VBASE, 8])
         misses_first = hosted.machine.stats.get("hosted.nxp.dtlb.miss")
         assert misses_first >= 8  # each distinct 2MB page walks once
+
+
+class TestPlatformConstruction:
+    """Each device's platform is built once, by the back-end that runs
+    it: a hosted machine never builds the interpreted NxP core."""
+
+    def test_hosted_machine_builds_no_interpreter(self, monkeypatch):
+        import repro.isa.interpreter as interpreter
+
+        built = []
+        real_init = interpreter.Interpreter.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(interpreter.Interpreter, "__init__", counting_init)
+        hosted = HostedMachine(nop_program(), cfg=DEFAULT_CONFIG)
+        assert hosted.run("main", [3, 1]).retval == 0
+        assert built == []
+        machine = hosted.machine
+        assert machine.nxp is machine.devices[0].platform
+        assert type(machine.nxp).__name__ == "_HostedNxpEngine"
+
+    def test_interpreted_machine_builds_its_platform_on_spawn(self):
+        from repro.core.machine import FlickMachine
+        from repro.core.nxp_platform import NxpPlatform
+
+        machine = FlickMachine()
+        assert machine.nxp is machine.devices[0].platform is None
+        outcome = machine.run_program(
+            "@nxp func f(x) { return x + 1; } func main(x) { return f(x); }", args=[41]
+        )
+        assert outcome.retval == 42
+        assert isinstance(machine.nxp, NxpPlatform)
+        assert machine.nxp is machine.devices[0].platform
