@@ -12,10 +12,12 @@ local DRAM window, so data lands close to the core that asked for it.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Generator, Tuple
+from typing import TYPE_CHECKING, Dict, Generator
 
 from repro.isa.interpreter import Interpreter
-from repro.os.task import Task
+
+if TYPE_CHECKING:  # the kernel's dispatcher imports this module
+    from repro.os.task import Task
 
 __all__ = ["STUB_BASE", "STUB_SYMBOLS", "STUB_PCS", "is_stub", "service_stub"]
 

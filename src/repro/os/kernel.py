@@ -7,6 +7,11 @@ This is the reproduction of the paper's <2 kLoC of Linux changes
   whether a faulting fetch is a legitimate ISA-crossing call (the target
   lies inside a known ``.text`` range of the *other* ISA) or a plain
   crash;
+* the **exit dispatcher** — :meth:`run_until_crossing` steps any
+  interpreted core (host, NxP, or the degraded-mode NISA emulator) and
+  routes every exception that leaves it: stubs, syscalls and minor
+  faults are serviced, a fetch of the other ISA's code is a crossing,
+  anything else crashes the process;
 * the **migration interrupt handler** — pops the inbound descriptor the
   DMA engine delivered, finds the suspended task by PID, and wakes it
   (the wake completes after the modeled scheduler latency);
@@ -20,6 +25,10 @@ from typing import Dict, Generator, Optional
 from repro.core.config import FlickConfig
 from repro.core.descriptors import DESCRIPTOR_BYTES, MigrationDescriptor
 from repro.core.errors import DescriptorCorrupt, ProcessCrash
+from repro.core.ports import HostMemoryPort
+from repro.core.stubs import STUB_PCS, service_stub
+from repro.isa.base import IllegalInstruction, IsaFault, MisalignedFetch
+from repro.isa.interpreter import EnvCall, Halted, Interpreter, ReturnToRuntime
 from repro.memory.paging import PageFault
 from repro.os.task import Process, Task, TaskState
 from repro.sim.engine import Simulator
@@ -31,6 +40,10 @@ __all__ = ["Kernel", "ProcessCrash", "SYS_EXIT", "SYS_PRINT"]
 
 SYS_EXIT = 0
 SYS_PRINT = 1
+
+#: Fetch faults that are a crossing on a NISA core: variable-length HISA
+#: code rarely sits 8-aligned, and aligned HISA bytes are no NISA opcode.
+_NISA_FETCH_TRIGGERS = {MisalignedFetch: "misaligned", IllegalInstruction: "illegal"}
 
 
 class Kernel:
@@ -81,6 +94,77 @@ class Kernel:
                 f"({fault.kind}, on {running_on})",
             )
         return target_isa
+
+    # -- the exit dispatcher of every interpreted core ---------------------------
+
+    def run_until_crossing(self, task: Task, cpu: Interpreter) -> Generator:
+        """Step ``cpu`` until ``task`` finishes the dispatched function or
+        fetches the other ISA's code.
+
+        Returns ``(None, retval)`` when the function returns to the
+        runtime (retval 0 on HALT), or ``(trigger, target)`` for a valid
+        cross-ISA call to ``target``: trigger ``"nx"`` for an NX fault
+        and, on a NISA core, ``"misaligned"``/``"illegal"`` for a fetch
+        of HISA bytes.  Runtime stubs, syscalls and lazy-heap minor
+        faults are serviced in place; a minor fault needs this kernel's
+        handler, so only a core behind a host memory port (a host core
+        or the fallback emulator, not the NxP) can take one.  Any other
+        exit is a :class:`ProcessCrash`; ``exit(v)`` raises the thread
+        exit for the caller.
+        """
+        machine = self.machine
+        step = cpu.step
+        stub_pcs = STUB_PCS
+        while True:
+            if cpu.pc in stub_pcs:
+                yield from service_stub(machine, task, cpu)
+                continue
+            try:
+                yield from step()
+                continue
+            except ReturnToRuntime as ret:
+                return None, ret.retval
+            except Halted:
+                return None, 0
+            except EnvCall:
+                code, value = cpu.get_args(2)
+                result = self.service_syscall(task, code, value)
+                cpu.regs.write(cpu.abi.ret_reg, result or 0)
+                continue
+            except PageFault as fault:
+                lazy = task.process.lazy_heap
+                if fault.kind == PageFault.NX_VIOLATION and fault.is_exec:
+                    trigger, target = "nx", fault.vaddr
+                elif (
+                    fault.kind == PageFault.NOT_PRESENT
+                    and lazy is not None
+                    and lazy.covers(fault.vaddr)
+                    and isinstance(cpu.port, HostMemoryPort)
+                ):
+                    # Minor fault: demand-page the heap and retry the
+                    # instruction (one page-fault handler serves both this
+                    # and the NX migration trigger).
+                    yield from lazy.service_fault(task, fault.vaddr)
+                    continue
+                else:
+                    raise ProcessCrash(
+                        task,
+                        f"unexpected page fault on {cpu.name} at pc={cpu.pc:#x}: "
+                        f"{fault.access_kind} access to {fault.vaddr:#x} ({fault.kind})",
+                        pc=cpu.pc,
+                        fault=fault,
+                    )
+            except IsaFault as fault:
+                trigger = _NISA_FETCH_TRIGGERS.get(type(fault))
+                if trigger is None or cpu.isa != "nisa":
+                    raise ProcessCrash(
+                        task, f"{cpu.name} fault at pc={cpu.pc:#x}: {fault}", pc=cpu.pc
+                    )
+                target = fault.pc
+            self.classify_exec_fault(
+                task, PageFault(target, PageFault.NX_VIOLATION, is_exec=True), cpu.isa
+            )
+            return trigger, target
 
     # -- syscalls --------------------------------------------------------------
 
