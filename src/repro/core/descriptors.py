@@ -3,7 +3,9 @@
 Section IV-B: the ioctl() packages the target address, arguments, PTBR
 (CR3), PID and the thread's NxP stack pointer into a *call descriptor*;
 the whole descriptor crosses PCIe in **one DMA burst** (128 bytes).
-Return descriptors carry the return value back.
+Return descriptors carry the return value back; an *exit* descriptor is
+the NxP-to-host return leg of NISA code that called ``exit(v)`` (``v``
+in the return-value word), asking the host handler to end the thread.
 
 Layout (little-endian, 16 x u64 = 128 bytes):
 
@@ -37,11 +39,13 @@ from typing import List
 
 from repro.core.errors import DescriptorCorrupt
 
-__all__ = ["MigrationDescriptor", "KIND_CALL", "KIND_RETURN", "DIR_H2N", "DIR_N2H", "DESCRIPTOR_BYTES"]
+__all__ = ["MigrationDescriptor", "KIND_CALL", "KIND_RETURN", "KIND_EXIT",
+           "DIR_H2N", "DIR_N2H", "DESCRIPTOR_BYTES"]
 
 MAGIC = 0x464C4943  # "FLIC"
 KIND_CALL = 1
 KIND_RETURN = 2
+KIND_EXIT = 3
 DIR_H2N = 1  # host -> NxP
 DIR_N2H = 2  # NxP -> host
 
@@ -63,7 +67,7 @@ class MigrationDescriptor:
     seq: int = 0  # hardened-protocol sequence number (0 when unarmed)
 
     def __post_init__(self) -> None:
-        if self.kind not in (KIND_CALL, KIND_RETURN):
+        if self.kind not in (KIND_CALL, KIND_RETURN, KIND_EXIT):
             raise ValueError(f"bad descriptor kind {self.kind}")
         if self.direction not in (DIR_H2N, DIR_N2H):
             raise ValueError(f"bad descriptor direction {self.direction}")
@@ -77,6 +81,10 @@ class MigrationDescriptor:
     @property
     def is_return(self) -> bool:
         return self.kind == KIND_RETURN
+
+    @property
+    def is_exit(self) -> bool:
+        return self.kind == KIND_EXIT
 
     def pack(self) -> bytes:
         words = [0] * 16
