@@ -92,7 +92,6 @@ class FlickConfig:
     # ---- raw memory / interconnect latencies (Section V) ----------------
     host_dram_ns: float = 90.0           # host core -> host DRAM (random)
     host_cached_mem_ns: float = 4.0      # host load/store, cache-filtered avg
-    host_ifetch_ns: float = 0.0          # host fetch (perfect I-cache model)
     nxp_to_local_write_ns: float = 240.0  # NxP posted write to local DRAM
     nxp_local_dram_ns: float = 225.0     # NxP DRAM service time (no TLB)
     nxp_bram_ns: float = 10.0            # NxP on-chip stack BRAM

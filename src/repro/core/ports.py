@@ -110,8 +110,9 @@ class HostMemoryPort:
     """A host core's view of one process's address space."""
 
     #: NX sense enforced on instruction fetch: pages whose NX bit equals
-    #: this value are executable through this port.  The JIT tier's
-    #: trace compiler validates code pages against it (repro.isa.jit).
+    #: this value are executable through this port.  The fetch paths
+    #: below and the JIT tier's trace compiler (repro.isa.jit) check
+    #: code pages against it.
     exec_nx_sense = False
 
     def __init__(
@@ -146,36 +147,22 @@ class HostMemoryPort:
         return self.tables.code_generation
 
     def fetch(self, vaddr: int, nbytes: int) -> Generator:
+        """Instruction fetch.  A generator, like every port's fetch, but
+        the host I-fetch is free (the paper's perfect host I-cache)."""
         delta, _writable, nx = self.tcache.entry(vaddr)
-        if nx:
-            # The Flick trigger: host fetched NxP-ISA (or data) pages.
+        if nx != self.exec_nx_sense:
+            # The Flick trigger: this core fetched the other ISA's pages.
             raise PageFault(vaddr, PageFault.NX_VIOLATION, is_exec=True)
-        if self.cfg.host_ifetch_ns:
-            yield self.sim.timeout(self.cfg.host_ifetch_ns)
         return self.phys.read(vaddr + delta, nbytes)
+        yield  # pragma: no cover - makes this a generator
 
-    def fetch_check(self, vaddr: int, nbytes: int) -> Generator:
-        """Charge exactly what :meth:`fetch` charges — same faults, same
-        timed yields, same stats — without reading the bytes.  Used by
-        the decoded-instruction cache to keep fetch timing and NX
-        semantics bit-identical while skipping re-decode."""
+    def fetch_check_sync(self, vaddr: int, nbytes: int) -> None:
+        """Perform :meth:`fetch`'s checks — same faults, no stats, no
+        simulated time due — without reading the bytes.  The
+        decoded-instruction cache's re-decode bypass."""
         _delta, _writable, nx = self.tcache.entry(vaddr)
-        if nx:
+        if nx != self.exec_nx_sense:
             raise PageFault(vaddr, PageFault.NX_VIOLATION, is_exec=True)
-        if self.cfg.host_ifetch_ns:
-            yield self.sim.timeout(self.cfg.host_ifetch_ns)
-
-    def fetch_check_sync(self, vaddr: int, nbytes: int) -> bool:
-        """Synchronous :meth:`fetch_check`: performs the full check and
-        returns True when no simulated time is due (the default host
-        model has a free I-fetch), else returns False having done
-        nothing so the caller falls back to the generator path."""
-        if self.cfg.host_ifetch_ns:
-            return False
-        _delta, _writable, nx = self.tcache.entry(vaddr)
-        if nx:
-            raise PageFault(vaddr, PageFault.NX_VIOLATION, is_exec=True)
-        return True
 
     def load(self, vaddr: int, nbytes: int) -> Generator:
         delta, _writable, _nx = self.tcache.entry(vaddr)
@@ -220,29 +207,6 @@ class FallbackMemoryPort(HostMemoryPort):
     """
 
     exec_nx_sense = True  # inverted: NX-set pages are the executable ones
-
-    def fetch(self, vaddr: int, nbytes: int) -> Generator:
-        delta, _writable, nx = self.tcache.entry(vaddr)
-        if not nx:
-            raise PageFault(vaddr, PageFault.NX_VIOLATION, is_exec=True)
-        if self.cfg.host_ifetch_ns:
-            yield self.sim.timeout(self.cfg.host_ifetch_ns)
-        return self.phys.read(vaddr + delta, nbytes)
-
-    def fetch_check(self, vaddr: int, nbytes: int) -> Generator:
-        _delta, _writable, nx = self.tcache.entry(vaddr)
-        if not nx:
-            raise PageFault(vaddr, PageFault.NX_VIOLATION, is_exec=True)
-        if self.cfg.host_ifetch_ns:
-            yield self.sim.timeout(self.cfg.host_ifetch_ns)
-
-    def fetch_check_sync(self, vaddr: int, nbytes: int) -> bool:
-        if self.cfg.host_ifetch_ns:
-            return False
-        _delta, _writable, nx = self.tcache.entry(vaddr)
-        if not nx:
-            raise PageFault(vaddr, PageFault.NX_VIOLATION, is_exec=True)
-        return True
 
 
 class NxpMemoryPort:
@@ -338,8 +302,8 @@ class NxpMemoryPort:
 
     def fetch_check(self, vaddr: int, nbytes: int) -> Generator:
         """Replay :meth:`fetch`'s exact timing, faults and stats (TLB,
-        walker, I-cache, line fill) without returning the bytes; the
-        decoded-instruction cache's re-decode bypass."""
+        walker, I-cache, line fill) without returning the bytes; the JIT
+        tier's per-instruction fetch replay."""
         entry = yield from self._translate(self.itlb, vaddr, is_exec=True)
         paddr = entry.paddr_for(vaddr)
         self._c_fetch.value += 1

@@ -55,11 +55,14 @@ class MemoryPort(Protocol):
     """Timed memory interface a core executes against.
 
     Ports may additionally expose the decoded-instruction-cache contract:
-    a ``fetch_check(vaddr, nbytes)`` generator charging exactly what
-    ``fetch`` charges (same timed yields, same faults, same stats)
-    without returning bytes, and a ``code_generation`` attribute that
-    changes whenever code reachable through the port may have changed.
-    Ports without both simply run uncached (e.g. the tests' FlatPort).
+    a ``code_generation`` attribute that changes whenever code reachable
+    through the port may have changed, plus a replay of ``fetch`` that
+    charges exactly what it charges (same timed yields, same faults,
+    same stats) without returning bytes — either
+    ``fetch_check_sync(vaddr, nbytes)``, for a port whose I-fetch takes
+    no simulated time, or ``fetch_check_fast(vaddr, nbytes)`` (see
+    :class:`repro.core.ports.NxpMemoryPort`).  Ports without the
+    contract simply run uncached (e.g. the tests' FlatPort).
     """
 
     def fetch(self, vaddr: int, nbytes: int) -> Generator:  # pragma: no cover
@@ -163,19 +166,17 @@ class Interpreter:
         self.sf_lt = False
         self._inst_counter = self.stats.counter(f"{name}.inst")
         # Decoded-instruction cache: pc -> (inst, length, two_part,
-        # timeout).  Requires the port's fetch_check/code_generation
-        # contract (see MemoryPort); validity is keyed off the port's
-        # code_generation, so page-table changes and stores into
-        # registered executable ranges invalidate it wholesale.
-        self._decode_cache_enabled = bool(decode_cache) and hasattr(port, "fetch_check")
+        # pause, is_mem).  Requires the port's fetch-check contract (see
+        # MemoryPort); validity is keyed off the port's code_generation,
+        # so page-table changes and stores into registered executable
+        # ranges invalidate it wholesale.
+        self._fetch_check_sync = getattr(port, "fetch_check_sync", None) if decode_cache else None
+        self._fetch_check_fast = getattr(port, "fetch_check_fast", None) if decode_cache else None
+        self._decode_cache_enabled = (
+            self._fetch_check_sync is not None or self._fetch_check_fast is not None
+        )
         self._decode_cache: Dict[int, tuple] = {}
         self._decode_gen: Optional[int] = None
-        self._fetch_check_sync = (
-            getattr(port, "fetch_check_sync", None) if self._decode_cache_enabled else None
-        )
-        self._fetch_check_fast = (
-            getattr(port, "fetch_check_fast", None) if self._decode_cache_enabled else None
-        )
         # Ops whose execution yields (memory traffic) on this ISA; the
         # rest run through the synchronous path without a generator.
         mem_ops = set(self._SIZED_LOADS) | set(self._SIZED_STORES)
@@ -246,10 +247,10 @@ class Interpreter:
         """Fetch, decode and execute one instruction.
 
         With the decode cache enabled (and a port exposing the
-        fetch_check/code_generation contract), a PC seen before at the
-        current code generation skips re-decode: ``fetch_check`` replays
-        the exact fetch timing, faults and stats, so simulated results
-        are bit-identical to the uncached path.
+        fetch-check contract), a PC seen before at the current code
+        generation skips re-decode: the port's fetch check replays the
+        exact fetch timing, faults and stats, so simulated results are
+        bit-identical to the uncached path.
         """
         pc = self.pc
         if pc == RUNTIME_RETURN_ADDR:
@@ -278,16 +279,13 @@ class Interpreter:
         if cached is not None:
             inst, length, two_part, pause, is_mem = cached
             sync = self._fetch_check_sync
-            if sync is not None and sync(pc, 1 if two_part else length):
-                # Fully checked with no simulated time due: skip the
-                # generator machinery (a False return did nothing, so the
-                # fallback below replays the check from scratch).
+            if sync is not None:
+                # No simulated time is due: check without the generator
+                # machinery, in the two parts the fetch took.
+                sync(pc, 1 if two_part else length)
                 if two_part:
                     sync(pc + 1, length - 1)
-            elif two_part:
-                yield from port.fetch_check(pc, 1)
-                yield from port.fetch_check(pc + 1, length - 1)
-            elif self._fetch_check_fast is not None:
+            else:
                 # The port resolved the common hit/hit case without a
                 # generator and handed back the pauses to charge.
                 r = self._fetch_check_fast(pc, length)
@@ -296,8 +294,6 @@ class Interpreter:
                     yield r[1]
                 else:
                     yield from r
-            else:
-                yield from port.fetch_check(pc, length)
         else:
             if self.isa == "nisa":
                 raw = yield from port.fetch(pc, nisa.INST_BYTES)

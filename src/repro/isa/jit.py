@@ -186,13 +186,10 @@ class JitEngine:
         memory, free I-fetch) get blocks with the fetch hoisted away;
         the NxP port gets blocks that replay each instruction's
         I-TLB/I-cache fetch.  Ports without either contract (e.g. the
-        tests' FlatPort) — or a host model with a non-zero I-fetch
-        latency, which hoisted blocks cannot replay — run without a JIT.
+        tests' FlatPort) run without a JIT.
         """
         port = itp.port
         if hasattr(port, "tcache") and hasattr(port, "phys"):
-            if getattr(port.cfg, "host_ifetch_ns", 0.0):
-                return None
             return JitEngine(itp, "host", hot_threshold, max_superblock, trace)
         if hasattr(port, "itlb") and hasattr(port, "icache"):
             return JitEngine(itp, "nxp", hot_threshold, max_superblock, trace)
